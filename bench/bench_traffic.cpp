@@ -101,9 +101,6 @@ TrafficRow run_cell(const TrafficCell& cell, std::uint64_t seed,
       static_cast<int>(cell.requests / cell.rate) * 4 + 100000;
   scenario.workload.warmup_slots = 500;
   scenario.workload.admission.max_active_codes = cell.max_active_codes;
-  // The capped cell measures raw stream throughput; periodic LP headroom
-  // probes belong to the shedding policy it does not use.
-  if (cell.max_active_codes > 0) scenario.workload.reoptimize_every = 0;
 
   TrafficRow row;
   row.cell = cell;

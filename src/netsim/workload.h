@@ -76,10 +76,12 @@ class RouteProvider {
   virtual ~RouteProvider() = default;
   virtual std::optional<AdmittedRoute> admit(int src, int dst, int codes) = 0;
   virtual void release(const AdmittedRoute& route) = 0;
-  /// Re-optimize over the residual network and return its headroom: the
-  /// fractional number of additional codes it could still carry. Called
-  /// periodically by the engine (WorkloadParams::reoptimize_every); the
-  /// result feeds priority shedding.
+  /// Report the residual network's headroom: how many more codes it could
+  /// still carry, as the provider estimates it from capacity it already
+  /// tracks. Nothing is re-solved and the call must not change what a
+  /// later admit() sees. Called periodically by the engine
+  /// (WorkloadParams::reoptimize_every); the result feeds priority
+  /// shedding.
   virtual double reoptimize() = 0;
   /// The engine reports a change of the network-wide noise scale (a
   /// fidelity-degradation window opening or closing): every fiber's
@@ -134,7 +136,9 @@ struct WorkloadParams {
   int warmup_slots = 0;
   std::vector<DemandClass> classes;  ///< empty = one default class
   AdmissionPolicy admission;
-  /// Provider re-optimization cadence in admissions+releases (0 = never).
+  /// Cadence, in admissions+releases, of the provider's headroom report
+  /// (RouteProvider::reoptimize; 0 = never). The report re-solves
+  /// nothing; it only arms AdmissionPolicy::shed_headroom.
   int reoptimize_every = 0;
   /// Synthetic service model: an admitted request departs after
   /// service_base + service_per_hop * hops + jitter slots, jitter drawn

@@ -15,9 +15,6 @@ using netsim::AdmittedRoute;
 
 namespace {
 constexpr double kCodeEps = 1e-4;
-/// Probe limit per commodity for reoptimize(): far above any realistic
-/// single-network headroom, so the capacity rows bind, not the limits.
-constexpr double kProbeLimit = 1e3;
 }  // namespace
 
 IncrementalRouter::IncrementalRouter(const netsim::Topology& topology,
@@ -54,24 +51,26 @@ void IncrementalRouter::sync_capacities(RoutingFormulation& formulation) {
         e, std::max(0.0, tracker_.fiber_pairs_remaining(e)));
 }
 
-LpSolution IncrementalRouter::solve_commodity(Commodity& commodity,
-                                              double limit) {
-  if (!commodity.formulation.has_value()) {
+std::optional<AdmittedRoute> IncrementalRouter::lp_admit(int commodity,
+                                                         int codes) {
+  SURFNET_EXPECTS(commodity >= 0 &&
+                  static_cast<std::size_t>(commodity) < commodities_.size());
+  Commodity& c = commodities_[static_cast<std::size_t>(commodity)];
+  if (!c.formulation.has_value()) {
     const std::vector<netsim::Request> requests{
-        netsim::Request{commodity.src, commodity.dst, 1}};
+        netsim::Request{c.src, c.dst, 1}};
     // Built from the measured topology so the Eq. (6) noise coefficients
     // reflect the live profile; set_noise_scale drops stale formulations.
-    commodity.formulation.emplace(routing_topology(), requests, params_);
-    commodity.state.clear();
+    c.formulation.emplace(routing_topology(), requests, params_);
+    c.state.clear();
   }
   // Limits and right-hand sides change between solves, the shape never
   // does: every solve after the commodity's first warm-starts from the
   // basis the previous one left behind.
-  commodity.formulation->set_request_limit(0, limit);
-  sync_capacities(*commodity.formulation);
+  c.formulation->set_request_limit(0, static_cast<double>(codes));
+  sync_capacities(*c.formulation);
   const LpSolution solution =
-      solve_lp(commodity.formulation->problem(), commodity.state,
-               params_.sink);
+      solve_lp(c.formulation->problem(), c.state, params_.sink);
   if (solution.warm_started) {
     ++stats_.warm_solves;
     stats_.warm_iterations += solution.iterations;
@@ -79,16 +78,6 @@ LpSolution IncrementalRouter::solve_commodity(Commodity& commodity,
     ++stats_.cold_solves;
     stats_.cold_iterations += solution.iterations;
   }
-  return solution;
-}
-
-std::optional<AdmittedRoute> IncrementalRouter::lp_admit(int commodity,
-                                                         int codes) {
-  SURFNET_EXPECTS(commodity >= 0 &&
-                  static_cast<std::size_t>(commodity) < commodities_.size());
-  Commodity& c = commodities_[static_cast<std::size_t>(commodity)];
-  const LpSolution solution =
-      solve_commodity(c, static_cast<double>(codes));
   if (solution.status != LpStatus::Optimal) return std::nullopt;
 
   const auto& vars = c.formulation->vars(0);
@@ -235,23 +224,13 @@ void IncrementalRouter::set_noise_scale(double scale) {
 }
 
 double IncrementalRouter::reoptimize() {
-  // Probe every feasible commodity's standing formulation over the
-  // residual network and sum the fractional codes it could still carry.
-  bool probed = false;
-  double headroom = 0.0;
-  for (auto& c : commodities_) {
-    if (c.infeasible) continue;
-    const LpSolution solution = solve_commodity(c, kProbeLimit);
-    probed = true;
-    c.saturated = false;
-    if (solution.status != LpStatus::Optimal) continue;
-    headroom += solution.x[static_cast<std::size_t>(
-        c.formulation->vars(0).y)];
-  }
-  // Nothing has ever needed the LP: the network is effectively
-  // unconstrained from the stream's point of view.
-  if (!probed) return kProbeLimit;
-  return headroom;
+  // Residual storage across the network, in default-size codes: a read of
+  // the live tracker. No LP runs and no state changes, so a later admit
+  // sees exactly what it would have seen without this call.
+  double free_qubits = 0.0;
+  for (int v = 0; v < topology_->num_nodes(); ++v)
+    free_qubits += std::max(0.0, tracker_.node_remaining(v));
+  return free_qubits / node_demand_for(0);
 }
 
 }  // namespace surfnet::routing

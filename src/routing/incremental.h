@@ -31,9 +31,13 @@
 // profile*, so no amount of released capacity can revive them. A feasible
 // commodity that fails the full ladder is marked saturated; further
 // greedy-failing admits for it are rejected without an LP solve until a
-// release or reoptimize() restores capacity. Admit sources are counted as
+// release restores capacity. Admit sources are counted as
 // "route.incremental.{greedy,warm,cold}" and every LP solve flows through
 // the usual solve_lp observability ("lp.*" counters, lp_solve events).
+//
+// reoptimize() does not re-solve anything: it reports the residual
+// storage headroom the tracker already holds, in default-size codes. It
+// runs no LP and changes no state, so it is invisible to later admits.
 //
 // Adaptive code selection. With RoutingParams::adaptive_code_distance the
 // planner picks a distance (3/4/5) per route from its measured residual
@@ -74,6 +78,8 @@ class IncrementalRouter final : public netsim::RouteProvider {
   std::optional<netsim::AdmittedRoute> admit(int src, int dst,
                                              int codes) override;
   void release(const netsim::AdmittedRoute& route) override;
+  /// Residual-capacity headroom: sum over nodes of the tracker's
+  /// remaining storage, divided by one default-size code's storage.
   double reoptimize() override;
   void set_noise_scale(double scale) override;
 
@@ -113,10 +119,9 @@ class IncrementalRouter final : public netsim::RouteProvider {
   int commodity_index(int src, int dst);
   /// Point the formulation's capacities at the tracker's residuals.
   void sync_capacities(RoutingFormulation& formulation);
-  /// Solve one commodity's standing formulation with the given request
-  /// limit, updating the warm/cold statistics.
-  LpSolution solve_commodity(Commodity& commodity, double limit);
   /// LP-assisted admit for one commodity; greedy has already failed.
+  /// Solves the commodity's standing formulation (building it on first
+  /// use) and updates the warm/cold statistics.
   std::optional<netsim::AdmittedRoute> lp_admit(int commodity, int codes);
   /// The topology as currently measured: the scaled copy while a
   /// degradation window is open, the real one otherwise.
