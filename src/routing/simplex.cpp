@@ -32,6 +32,9 @@ constexpr int kRefactorInterval = 64;  ///< pivots between refactorizations
 constexpr int kBlandStreak = 256;   ///< degenerate pivots before Bland's rule
 
 enum VarStatus : signed char { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
+/// Per status, the factor that turns an improving reduced cost positive
+/// (d at lower, -d at upper); basic columns never price.
+constexpr double kPriceSign[] = {1.0, -1.0, 0.0};
 
 /// Bounded-variable revised simplex over the equality form
 ///   maximize c^T x   s.t.   A x (+ slacks) = b,   0 <= x_j <= u_j.
@@ -63,6 +66,7 @@ class RevisedSimplex {
     const std::size_t etas = eta_pivot_row_.size();
     for (std::size_t e = 0; e < etas; ++e) {
       const auto r = static_cast<std::size_t>(eta_pivot_row_[e]);
+      if (v[r] == 0.0) continue;  // 0 / pivot could only re-sign the zero
       const double zr = v[r] / eta_pivot_val_[e];
       v[r] = zr;
       if (zr == 0.0) continue;
@@ -84,17 +88,39 @@ class RevisedSimplex {
     }
   }
 
-  void append_eta(const std::vector<double>& w, int pivot_row) {
-    eta_pivot_row_.push_back(pivot_row);
-    eta_pivot_val_.push_back(w[static_cast<std::size_t>(pivot_row)]);
+  /// nz_ <- ascending indices of v's nonzero entries (NaN included),
+  /// branch-free. Pricing walks the nonzeros of y, and every consumer of an
+  /// FTRAN result (ratio test, x_B update, pivot search, eta append) the
+  /// nonzeros of work_, instead of all m rows; the rows skipped hold exact
+  /// zeros, which none of those loops could act on.
+  void gather_nonzeros(const std::vector<double>& v) {
+    nz_.resize(static_cast<std::size_t>(m_));
+    std::size_t n = 0;
     for (int i = 0; i < m_; ++i) {
+      nz_[n] = i;
+      n += v[static_cast<std::size_t>(i)] != 0.0;
+    }
+    nz_.resize(n);
+  }
+
+  /// Append work_ (with nz_ gathered) as the eta of a pivot on pivot_row.
+  void append_eta(int pivot_row) {
+    eta_pivot_row_.push_back(pivot_row);
+    eta_pivot_val_.push_back(work_[static_cast<std::size_t>(pivot_row)]);
+    for (const int i : nz_) {
       if (i == pivot_row) continue;
-      const double wv = w[static_cast<std::size_t>(i)];
+      const double wv = work_[static_cast<std::size_t>(i)];
       if (std::abs(wv) > kDropTol) {
         eta_row_.push_back(i);
         eta_val_.push_back(wv);
       }
     }
+    close_eta();
+  }
+
+  /// Mark the end of the eta whose entries were just appended.
+  void close_eta() {
+    eta_nonzeros_ += static_cast<long>(eta_row_.size()) - eta_start_.back();
     eta_start_.push_back(static_cast<int>(eta_row_.size()));
   }
 
@@ -176,8 +202,10 @@ class RevisedSimplex {
           fac_rowpos_start_[static_cast<std::size_t>(r) + 1] -
           fac_rowpos_start_[static_cast<std::size_t>(r)];
     fac_col_alive_.assign(sm, 1);
-    std::vector<char> taken(sm, 0);
-    std::vector<int> new_basis(sm, -1);
+    std::vector<char>& taken = fac_taken_;
+    taken.assign(sm, 0);
+    std::vector<int>& new_basis = fac_new_basis_;
+    new_basis.assign(sm, -1);
 
     // --- Triangular phase. ---
     fac_queue_.clear();
@@ -218,7 +246,7 @@ class RevisedSimplex {
             --fac_row_live_[static_cast<std::size_t>(r2)] == 1)
           fac_queue_.push_back(r2);
       }
-      eta_start_.push_back(static_cast<int>(eta_row_.size()));
+      close_eta();
       fac_col_alive_[static_cast<std::size_t>(k)] = 0;
       taken[static_cast<std::size_t>(r)] = 1;
       new_basis[static_cast<std::size_t>(r)] = basis_[static_cast<std::size_t>(k)];
@@ -230,16 +258,17 @@ class RevisedSimplex {
       const int j = basis_[static_cast<std::size_t>(k)];
       load_column(j, work_);
       ftran(work_);
+      gather_nonzeros(work_);
       int pr = -1;
       double best = 1e-10;
-      for (int i = 0; i < m_; ++i)
+      for (const int i : nz_)
         if (!taken[static_cast<std::size_t>(i)] &&
             std::abs(work_[static_cast<std::size_t>(i)]) > best) {
           best = std::abs(work_[static_cast<std::size_t>(i)]);
           pr = i;
         }
       if (pr < 0) return false;
-      append_eta(work_, pr);
+      append_eta(pr);
       taken[static_cast<std::size_t>(pr)] = 1;
       new_basis[static_cast<std::size_t>(pr)] = j;
     }
@@ -417,10 +446,13 @@ class RevisedSimplex {
   std::vector<double> eta_val_;
   int pivots_since_refactor_ = 0;
   int refactor_count_ = 0;  ///< total basis rebuilds this solve
+  long eta_nonzeros_ = 0;   ///< off-pivot entries appended this solve
 
   std::vector<double> work_;  ///< dense row-sized scratch (FTRAN target)
+  std::vector<int> nz_;       ///< ascending nonzero rows of y_ or work_
   std::vector<double> y_;     ///< dense row-sized scratch (BTRAN target)
-  std::vector<double> cb_;    ///< basic costs of the current phase
+  std::vector<double> d_;     ///< reduced costs, one per internal column
+  std::vector<double> movable_;  ///< 0 where the upper bound is <= 0, else 1
 
   // Refactorization scratch (rebuilt each refactorize; kept as members so
   // the buffers only grow).
@@ -428,7 +460,8 @@ class RevisedSimplex {
       fac_rowpos_col_, fac_row_live_, fac_queue_, fac_fill_;
   std::vector<std::size_t> fac_slot_;
   std::vector<double> fac_val_;
-  std::vector<char> fac_col_alive_;
+  std::vector<char> fac_col_alive_, fac_taken_;
+  std::vector<int> fac_new_basis_;
 };
 
 RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
@@ -512,8 +545,11 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
 
   x_basic_.resize(static_cast<std::size_t>(m_));
   work_.resize(static_cast<std::size_t>(m_));
+  d_.resize(static_cast<std::size_t>(ncols_));
+  movable_.resize(static_cast<std::size_t>(ncols_));
+  for (std::size_t j = 0; j < movable_.size(); ++j)
+    movable_[j] = upper_[j] <= 0.0 ? 0.0 : 1.0;
   y_.resize(static_cast<std::size_t>(m_));
-  cb_.resize(static_cast<std::size_t>(m_));
   eta_start_.assign(1, 0);
 }
 
@@ -565,38 +601,54 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
         c = -1.0;
         phase1 = true;
       }
-      cb_[static_cast<std::size_t>(r)] = c;
+      y_[static_cast<std::size_t>(r)] = c;
     }
     if (!phase1)
       for (int r = 0; r < m_; ++r)
-        cb_[static_cast<std::size_t>(r)] = cost_[static_cast<std::size_t>(
+        y_[static_cast<std::size_t>(r)] = cost_[static_cast<std::size_t>(
             basis_[static_cast<std::size_t>(r)])];
 
-    std::copy(cb_.begin(), cb_.end(), y_.begin());
-    btran(y_);
+    btran(y_);  // y = B^{-T} c_B, the basic costs of the current phase
+
+    // Reduced costs d = c - A^T y, accumulated row by row from the
+    // problem's CSR rows (plus each row's slack or artificial entry) over
+    // the rows with y_r != 0. Each column still subtracts its terms in
+    // ascending row order, exactly as a column-wise dot product would; the
+    // skipped terms are a_rj * (+-0), which can only flip the sign of a
+    // zero reduced cost, and no test below sees that sign.
+    if (phase1)
+      std::fill(d_.begin(), d_.end(), 0.0);
+    else
+      std::copy(cost_.begin(), cost_.end(), d_.begin());
+    gather_nonzeros(y_);
+    for (const int r : nz_) {
+      const double yr = y_[static_cast<std::size_t>(r)];
+      const auto cols = problem_->row_cols(r);
+      const auto coeffs = problem_->row_coeffs(r);
+      for (std::size_t t = 0; t < cols.size(); ++t)
+        d_[static_cast<std::size_t>(cols[t])] -= coeffs[t] * yr;
+      const auto aux =
+          static_cast<std::size_t>(row_aux_col_[static_cast<std::size_t>(r)]);
+      d_[aux] -= col_val_[static_cast<std::size_t>(col_start_[aux])] * yr;
+    }
 
     // Pricing: Dantzig (largest reduced cost) normally, Bland (first
     // eligible index) while a degenerate streak threatens to cycle.
+    // A nonbasic column improves when its signed reduced cost s (d at
+    // lower, -d at upper: exactly |d| whenever it improves) exceeds
+    // kOptTol, so Dantzig's strict-> running maximum of |d| over improving
+    // columns is the first column whose s beats kOptTol and every earlier
+    // pick. Basic columns and columns fixed at zero get s = +-0 (or NaN),
+    // which never beats kOptTol.
     int entering = -1;
-    double best_score = 0.0;
+    double threshold = kOptTol;
     for (int j = 0; j < ncols_; ++j) {
       const auto sj = static_cast<std::size_t>(j);
-      if (vstat_[sj] == kBasic || banned[sj]) continue;
-      if (upper_[sj] <= 0.0) continue;  // fixed at zero: never moves
-      double d = phase1 ? 0.0 : cost_[sj];
-      for (int k = col_start_[sj]; k < col_start_[sj + 1]; ++k)
-        d -= col_val_[static_cast<std::size_t>(k)] *
-             y_[static_cast<std::size_t>(col_row_[static_cast<std::size_t>(k)])];
-      const bool improving =
-          vstat_[sj] == kAtLower ? (d > kOptTol) : (d < -kOptTol);
-      if (!improving) continue;
-      if (bland) {
+      const double s = kPriceSign[vstat_[sj]] * movable_[sj] * d_[sj];
+      if (s > threshold && !banned[sj]) {
         entering = j;
-        break;
-      }
-      if (std::abs(d) > best_score) {
-        best_score = std::abs(d);
-        entering = j;
+        if (bland) break;
+        threshold = s;
       }
     }
 
@@ -610,6 +662,7 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
                         : -1;
     load_column(entering, work_);
     ftran(work_);
+    gather_nonzeros(work_);
 
     // Ratio test over the basic variables plus the entering variable's own
     // opposite bound (a bound flip). Basic variables already outside a
@@ -618,7 +671,7 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
     double best_t = upper_[static_cast<std::size_t>(entering)];  // flip
     int block_row = -1;
     bool leave_at_upper = false;
-    for (int r = 0; r < m_; ++r) {
+    for (const int r : nz_) {
       const double wv = work_[static_cast<std::size_t>(r)];
       if (std::abs(wv) < kRatioTol) continue;
       const double delta = -dir * wv;  // d x_B[r] / dt
@@ -649,7 +702,9 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
       if (take) {
         if (t < best_t) best_t = t;
         block_row = r;
-        leave_at_upper = target == u && std::isfinite(u);
+        // A column whose bound is zero leaves at lower: at-upper is
+        // reserved for a finite positive bound to rest on.
+        leave_at_upper = target == u && std::isfinite(u) && u > 0.0;
       }
     }
 
@@ -678,8 +733,10 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
     }
 
     ++iterations;
+    // Rows off nz_ would add -dir * (+-0) * best_t: at most the sign of a
+    // zero basic value changes, and no bound test or extraction sees it.
     if (best_t > 0.0)
-      for (int r = 0; r < m_; ++r)
+      for (const int r : nz_)
         x_basic_[static_cast<std::size_t>(r)] +=
             -dir * work_[static_cast<std::size_t>(r)] * best_t;
 
@@ -697,7 +754,7 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
                   : upper_[static_cast<std::size_t>(entering)] - best_t;
       basis_[static_cast<std::size_t>(block_row)] = entering;
       vstat_[static_cast<std::size_t>(entering)] = kBasic;
-      append_eta(work_, block_row);
+      append_eta(block_row);
       if (++pivots_since_refactor_ >= kRefactorInterval) {
         if (!refactorize()) {
           solution.status = LpStatus::IterationLimit;
@@ -720,6 +777,7 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
 
   solution.iterations = static_cast<int>(iterations);
   solution.refactorizations = refactor_count_;
+  solution.eta_nonzeros = eta_nonzeros_;
   save_state(state);
   if (solution.status != LpStatus::Optimal) return solution;
 
@@ -729,6 +787,7 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
   check_primal_residual();
   check_exit_feasibility();
   solution.refactorizations = refactor_count_;
+  solution.eta_nonzeros = eta_nonzeros_;
   save_state(state);
 
   solution.x.assign(static_cast<std::size_t>(nstruct_), 0.0);
@@ -771,12 +830,12 @@ LpSolution solve_lp(const LpProblem& problem, SimplexState& state) {
 LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
                     const obs::Sink& sink) {
   obs::ScopedTimer timer(sink.metrics, "lp.solve_seconds");
-  RevisedSimplex simplex(problem);
-  const LpSolution solution = simplex.solve(state);
+  const LpSolution solution = solve_lp(problem, state);
   if (sink.metrics) {
     sink.metrics->count("lp.solves");
     sink.metrics->count("lp.iterations", solution.iterations);
     sink.metrics->count("lp.refactorizations", solution.refactorizations);
+    sink.metrics->count("lp.eta_nonzeros", solution.eta_nonzeros);
     if (solution.warm_started) sink.metrics->count("lp.warm_starts");
   }
   if (sink.trace)

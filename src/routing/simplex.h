@@ -14,6 +14,22 @@
 // explicit rows — and a Bland's-rule fallback guards against cycling on
 // the massively degenerate network-flow LPs the scheduler produces.
 //
+// Per-pivot work follows nonzeros, not the row or column count: reduced
+// costs are accumulated row by row over the CSR rows whose dual y_r is
+// nonzero, and the ratio test, x_B update and eta append walk one
+// ascending nonzero-row list of the FTRAN result.
+//
+// Exactness invariant: those sparse kernels skip only terms that are
+// exactly +-0, and every floating-point operation that decides a pivot
+// runs on the same operands in the same order as the plain dense loops
+// (column-wise pricing, full-length ratio test and update). A skipped term
+// can only flip the sign of a zero, which no comparison sees. So the pivot
+// path, the refactorization count, the eta file and the returned
+// LpSolution are bitwise those of the dense loops; the routing_tests case
+// LpPivotPath (tests/routing/lp_pivot_path_test.cpp) pins the solve,
+// pivot, refactorization and eta-entry totals and every objective's bits
+// over the Fig. 6(a)/7 batch scenarios and an incremental LP-assist stream.
+//
 // Warm starts: a SimplexState snapshots the basis between solves. Passing
 // the state of a previous solve of a same-shaped problem (same rows and
 // columns; bounds and right-hand sides may differ) restarts from that
@@ -141,6 +157,8 @@ struct LpSolution {
   double objective = 0.0;
   int iterations = 0;        ///< simplex pivots + bound flips, both phases
   int refactorizations = 0;  ///< basis rebuilds (periodic + recovery + final)
+  long eta_nonzeros = 0;     ///< off-pivot entries appended to the eta file,
+                             ///< refactorizations included
   bool warm_started = false; ///< a prior basis was installed successfully
 };
 
@@ -170,8 +188,9 @@ LpSolution solve_lp(const LpProblem& problem, SimplexState& state);
 
 /// Observed solve: additionally times the solve into the sink's metrics
 /// ("lp.solve_seconds", counters "lp.solves" / "lp.iterations" /
-/// "lp.refactorizations" / "lp.warm_starts") and records one lp_solve
-/// trace event. A null sink behaves exactly like the overload above.
+/// "lp.refactorizations" / "lp.eta_nonzeros" / "lp.warm_starts") and
+/// records one lp_solve trace event. A null sink behaves exactly like the
+/// overload above.
 LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
                     const obs::Sink& sink);
 

@@ -234,10 +234,9 @@ void check_simplex_state_invariants(const LpProblem& problem,
     if (!state.at_upper[static_cast<std::size_t>(j)]) continue;
     SURFNET_ASSERT(!basic[static_cast<std::size_t>(j)],
                    "basic column %d flagged nonbasic-at-upper", j);
-    // Structural columns at-upper need a finite positive bound to rest on.
-    // Auxiliary columns may carry the flag too: an artificial fixed at zero
-    // that leaves the basis at its (zero) upper bound is recorded at-upper,
-    // and warm-start restore treats it as at-lower since both coincide.
+    // At-upper needs a finite positive bound to rest on: a column whose
+    // bound is zero leaves the basis at lower. Auxiliary bounds live inside
+    // the solver, so only structural columns are checked here.
     if (j < problem.num_vars()) {
       const double ub = problem.upper_bound(j);
       SURFNET_ASSERT(std::isfinite(ub) && ub > 0.0,

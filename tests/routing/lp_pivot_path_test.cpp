@@ -1,0 +1,145 @@
+// Exact work-counter pin of the simplex pivot path.
+//
+// The revised simplex's per-pivot kernels are written so that every
+// floating-point operation that decides a pivot runs on the same operands
+// in the same order as the plain dense loops they replaced. The pivot
+// path, the refactorization count, the eta file and the returned
+// LpSolution are therefore bitwise fixed, and this test pins them: it
+// routes the six Fig. 6(a)/7 scenarios over Barabasi-Albert networks
+// drawn exactly as core::run_trial draws them (both the SurfNet and the
+// Raw formulation), plus one dynamic-traffic stream whose incremental
+// router consults the LP assist, and compares the summed solver counters,
+// the scheduled codes and a hash of every solve's objective bits with
+// constants recorded before the kernels were rewritten. Any change that
+// moves a single pivot fails here; a change that is meant to move pivots
+// must re-record the constants and justify every admit and block delta.
+
+#include <cstdint>
+#include <cstring>
+
+#include <gtest/gtest.h>
+
+#include "core/surfnet.h"
+#include "netsim/topology.h"
+#include "netsim/workload.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "routing/lp_router.h"
+#include "util/rng.h"
+
+namespace surfnet::routing {
+namespace {
+
+// Recorded with the dense per-pivot loops, before the sparse kernels.
+constexpr std::int64_t kBatchSolves = 461;
+constexpr std::int64_t kBatchIterations = 38039;
+constexpr std::int64_t kBatchRefactorizations = 1277;
+constexpr std::int64_t kBatchEtaNonzeros = 2118850;
+constexpr std::uint64_t kBatchObjectiveHash = 0x5e0685b273007096ULL;
+constexpr long long kBatchScheduledCodes = 2096;
+
+constexpr int kStreamRequests = 3000;
+constexpr std::int64_t kStreamSolves = 1622;
+constexpr std::int64_t kStreamIterations = 9028;
+constexpr std::int64_t kStreamRefactorizations = 2217;
+constexpr std::int64_t kStreamEtaNonzeros = 785490;
+constexpr std::uint64_t kStreamObjectiveHash = 0x9fe6d075b858d16aULL;
+constexpr long long kStreamAdmitted = 254;
+
+struct PivotPath {
+  std::int64_t solves = 0;
+  std::int64_t iterations = 0;
+  std::int64_t refactorizations = 0;
+  std::int64_t eta_nonzeros = 0;
+  std::uint64_t objective_hash = 0;
+};
+
+/// FNV-1a over the bit patterns of every lp_solve event's objective, in
+/// solve order.
+std::uint64_t objective_hash(const obs::TraceBuffer& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& event : trace.events()) {
+    if (event.kind != obs::EventKind::LpSolve) continue;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &event.value, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+PivotPath read_path(const obs::MetricsRegistry& metrics,
+                    const obs::TraceBuffer& trace) {
+  PivotPath path;
+  path.solves = metrics.counter("lp.solves");
+  path.iterations = metrics.counter("lp.iterations");
+  path.refactorizations = metrics.counter("lp.refactorizations");
+  path.eta_nonzeros = metrics.counter("lp.eta_nonzeros");
+  path.objective_hash = objective_hash(trace);
+  return path;
+}
+
+void expect_path(const PivotPath& got, const PivotPath& want) {
+  EXPECT_EQ(got.solves, want.solves);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.refactorizations, want.refactorizations);
+  EXPECT_EQ(got.eta_nonzeros, want.eta_nonzeros);
+  EXPECT_EQ(got.objective_hash, want.objective_hash)
+      << "objective hash 0x" << std::hex << got.objective_hash;
+}
+
+TEST(LpPivotPath, BatchRouteLpOverTheFigureScenariosIsPinned) {
+  obs::MetricsRegistry metrics;
+  obs::TraceBuffer trace;
+  long long scheduled = 0;
+  for (const auto level :
+       {core::FacilityLevel::Abundant, core::FacilityLevel::Sufficient,
+        core::FacilityLevel::Insufficient})
+    for (const auto quality :
+         {core::ConnectionQuality::Good, core::ConnectionQuality::Poor})
+      for (const bool dual_channel : {true, false})
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+          const auto scenario = core::make_scenario(level, quality);
+          util::Rng rng(seed);
+          const auto topology =
+              netsim::make_random_topology(scenario.topology, rng);
+          const auto requests = netsim::random_requests(
+              topology, scenario.num_requests,
+              scenario.max_codes_per_request, rng);
+          RoutingParams params = scenario.routing;
+          params.dual_channel = dual_channel;
+          params.sink = obs::Sink{&metrics, &trace};
+          const auto routed = route_lp(topology, requests, params, rng);
+          scheduled += routed.schedule.scheduled_codes();
+        }
+  expect_path(read_path(metrics, trace),
+              {kBatchSolves, kBatchIterations, kBatchRefactorizations,
+               kBatchEtaNonzeros, kBatchObjectiveHash});
+  EXPECT_EQ(scheduled, kBatchScheduledCodes);
+}
+
+TEST(LpPivotPath, IncrementalLpAssistStreamIsPinned) {
+  // bench_traffic's rate2.0_n24 cell, shortened: the greedy fast path
+  // fails often enough here that the router runs cold and warm LP solves.
+  auto scenario = core::make_traffic_scenario(core::FacilityLevel::Sufficient,
+                                              core::ConnectionQuality::Good);
+  scenario.topology.num_nodes = 24;
+  scenario.workload.arrival_rate = 2.0;
+  scenario.workload.max_requests = kStreamRequests;
+  scenario.workload.horizon_slots = kStreamRequests * 2 + 100000;
+  scenario.workload.warmup_slots = 500;
+
+  obs::MetricsRegistry metrics;
+  obs::TraceBuffer trace;
+  const auto result = core::run_traffic_trial(scenario, 20240607,
+                                              obs::Sink{&metrics, &trace});
+  expect_path(read_path(metrics, trace),
+              {kStreamSolves, kStreamIterations, kStreamRefactorizations,
+               kStreamEtaNonzeros, kStreamObjectiveHash});
+  EXPECT_EQ(result.admitted, kStreamAdmitted);
+}
+
+}  // namespace
+}  // namespace surfnet::routing
