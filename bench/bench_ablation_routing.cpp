@@ -33,9 +33,9 @@
 #include "core/surfnet.h"
 #include "decoder/surfnet_decoder.h"
 #include "netsim/simulator.h"
-#include "routing/dense_simplex.h"
 #include "routing/greedy.h"
 #include "routing/lp_router.h"
+#include "support/dense_simplex.h"
 #include "util/table.h"
 
 namespace {

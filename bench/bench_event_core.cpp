@@ -12,8 +12,9 @@
 // sparse cells grow with timeout length x fiber count — the slot engine
 // pays O(fibers) per waited slot, the event engine jumps straight to the
 // fault expiry/timeout. The sparse long-timeout row is the headline: the
-// event engine must clear 5x there (scripts/check_overhead.py gates the
-// committed baseline).
+// event engine must clear 5x there (scripts/bench_compare.py --speedup-min
+// asserts the floor, and its --key/--metric mode gates every row against
+// the committed baseline).
 //
 // The engines run unobserved here on purpose: an attached sink forces the
 // event engine into dense mode, so a sink would measure observability

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two --json bench outputs and flag >10% regressions.
+"""Compare --json bench outputs against a baseline and flag regressions.
 
 Usage:
     bench_compare.py baseline.json candidate.json [--threshold 0.10]
+    bench_compare.py BASELINE RUN [RUN ...] --key F1,F2 --metric M
+                     [--threshold 0.10]
     bench_compare.py --validate FILE [FILE ...]
     bench_compare.py run.json --speedup-min 5 [--speedup-filter sparse_long]
 
@@ -12,6 +14,20 @@ bench's --json mode) or, for backward compatibility, a bare JSON array of
 flat records. Records are joined on their string/identity fields (e.g.
 decoder + distance, or grid + requests); numeric fields are then compared
 pairwise.
+
+``--key``/``--metric`` turn the comparison into a per-row gate on one
+higher-is-better metric: rows are matched on the ``--key`` fields, and
+the run fails when any row's metric dropped by more than ``--threshold``
+(a fraction of the baseline value). Several RUN files are merged row-wise
+by their BEST metric: shared machines swing widely from run to run, and
+the best of a few runs is the stable estimator of what the binary can
+do. A row missing from either side fails the run, so a bench cannot
+silently shrink its coverage; a baseline row whose metric is <= 0 is
+unmeasured and is skipped. CI gates, for example, the event engine's
+slot-vs-event speedups this way:
+
+    bench_compare.py bench/baselines/event_core_release.json event.json \\
+        --key scenario,grid --metric speedup --threshold 0.75
 
 ``--speedup-min`` asserts an absolute floor instead of comparing: every
 record in the single given file that carries a ``speedup`` field (e.g.
@@ -278,15 +294,82 @@ def run_speedup_floor(path, floor, substring):
     return 0
 
 
+def rows_by_key(path, key_fields, metric):
+    """Records of one file keyed by their --key fields (a later duplicate
+    wins); None when a record lacks a key field or the metric."""
+    rows = {}
+    for row in load(path):
+        missing = [f for f in key_fields + [metric] if f not in row]
+        if missing:
+            print(f"bench_compare: {path}: record lacks field(s) {missing} "
+                  f"(have: {sorted(row)})", file=sys.stderr)
+            return None
+        rows[tuple(row[f] for f in key_fields)] = row
+    return rows
+
+
+def run_baseline_gate(baseline_path, run_paths, key_fields, metric,
+                      threshold):
+    """Gate the best-of-runs metric per row against the baseline."""
+    baseline = rows_by_key(baseline_path, key_fields, metric)
+    if baseline is None:
+        return 2
+    candidate = {}
+    for path in run_paths:
+        rows = rows_by_key(path, key_fields, metric)
+        if rows is None:
+            return 2
+        for key, row in rows.items():
+            if key not in candidate or row[metric] > candidate[key][metric]:
+                candidate[key] = row
+
+    failures = []
+    if set(baseline) != set(candidate):
+        failures.append(f"row sets differ: baseline-only "
+                        f"{sorted(set(baseline) - set(candidate))}, "
+                        f"candidate-only "
+                        f"{sorted(set(candidate) - set(baseline))}")
+    worst = 0.0
+    for key in sorted(set(baseline) & set(candidate)):
+        base = baseline[key][metric]
+        cand = candidate[key][metric]
+        if base <= 0:
+            continue  # unmeasured row (e.g. single-engine run): no gate
+        drop = (base - cand) / base
+        worst = max(worst, drop)
+        failed = drop > threshold
+        label = " ".join(f"{f}={v}" for f, v in zip(key_fields, key))
+        print(f"{'FAIL' if failed else 'ok'}  {label:<40} {base:>12.1f} -> "
+              f"{cand:>12.1f} {metric} ({drop:+.1%})")
+        if failed:
+            failures.append(f"{key}: {metric} dropped {drop:.1%} "
+                            f"(threshold {threshold:.0%})")
+
+    print(f"bench_compare: worst drop {worst:+.1%}, threshold "
+          f"{threshold:.0%}", file=sys.stderr)
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
-        description="Diff two --json bench outputs, flag regressions; or "
-                    "--validate observability outputs structurally.")
+        description="Diff --json bench outputs against a baseline, flag "
+                    "regressions; or --validate observability outputs "
+                    "structurally.")
     parser.add_argument("baseline", nargs="?")
-    parser.add_argument("candidate", nargs="?")
+    parser.add_argument("candidates", nargs="*", metavar="candidate",
+                        help="one candidate file; several with --key/"
+                             "--metric, merged row-wise by best metric")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative change that counts as a regression "
                              "(default 0.10 = 10%%)")
+    parser.add_argument("--key", metavar="F1,F2",
+                        help="comma-separated record fields that identify "
+                             "a row; gate only --metric per row")
+    parser.add_argument("--metric", metavar="M",
+                        help="with --key: the higher-is-better field to "
+                             "gate")
     parser.add_argument("--validate", nargs="+", metavar="FILE",
                         help="validate files (bench envelopes, metrics "
                              "documents, JSONL traces) instead of comparing")
@@ -299,23 +382,31 @@ def main():
     args = parser.parse_args()
 
     if args.validate:
-        if args.baseline or args.candidate:
+        if args.baseline or args.candidates:
             parser.error("--validate takes its own file list; do not also "
                          "pass baseline/candidate")
         return run_validate(args.validate)
     if args.speedup_min is not None:
-        if not args.baseline or args.candidate:
+        if not args.baseline or args.candidates:
             parser.error("--speedup-min takes exactly one file")
         return run_speedup_floor(args.baseline, args.speedup_min,
                                  args.speedup_filter)
     if args.speedup_filter:
         parser.error("--speedup-filter requires --speedup-min")
-    if not args.baseline or not args.candidate:
+    if (args.key is None) != (args.metric is None):
+        parser.error("--key and --metric go together")
+    if not args.baseline or not args.candidates:
         parser.error("baseline and candidate are required unless --validate "
                      "is given")
+    if args.key is not None:
+        return run_baseline_gate(args.baseline, args.candidates,
+                                 [f for f in args.key.split(",") if f],
+                                 args.metric, args.threshold)
+    if len(args.candidates) > 1:
+        parser.error("several candidate files need --key/--metric")
 
     base = {record_key(r): r for r in load(args.baseline)}
-    cand = {record_key(r): r for r in load(args.candidate)}
+    cand = {record_key(r): r for r in load(args.candidates[0])}
 
     shared = [k for k in base if k in cand]
     if not shared:

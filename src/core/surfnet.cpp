@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "decoder/surfnet_decoder.h"
@@ -152,50 +153,44 @@ AggregateMetrics aggregate_in_order(const std::vector<TrialMetrics>& all) {
   return aggregate;
 }
 
-}  // namespace
-
-AggregateMetrics run_trials(const ScenarioParams& params,
-                            NetworkDesign design, int trials,
-                            const RunOptions& options) {
+/// The one trial runner behind both run_trials overloads. Per-trial seeds
+/// derive from options.seed alone; each trial records into private
+/// buffers; results come back in trial order and the buffers merge into
+/// options.sink in trial order after the workers join, so results,
+/// metrics and traces do not depend on the worker count.
+template <typename RunOne>
+auto run_seeded_trials(int trials, const RunOptions& options,
+                       RunOne&& run_one) {
+  using Result = std::invoke_result_t<RunOne&, std::uint64_t, obs::Sink>;
   if (trials < 0) throw std::invalid_argument("negative trial count");
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(trials));
+  const auto n = static_cast<std::size_t>(trials);
+  std::vector<std::uint64_t> seeds(n);
   util::Rng seeder(options.seed);
   for (auto& s : seeds) s = seeder();
 
-  // Each trial records into private buffers; the merge below runs in trial
-  // order, so metrics and traces do not depend on the worker count.
   std::vector<obs::TraceBuffer> traces;
   std::vector<obs::MetricsRegistry> registries;
-  if (options.sink.trace) traces.resize(static_cast<std::size_t>(trials));
-  if (options.sink.metrics)
-    registries.resize(static_cast<std::size_t>(trials));
+  if (options.sink.trace) traces.resize(n);
+  if (options.sink.metrics) registries.resize(n);
 
-  auto trial_sink = [&](std::size_t t) {
+  std::vector<Result> results(n);
+  auto run_at = [&](std::size_t i) {
     obs::Sink sink;
-    if (options.sink.metrics) sink.metrics = &registries[t];
-    if (options.sink.trace) sink.trace = &traces[t];
-    return sink;
+    if (options.sink.metrics) sink.metrics = &registries[i];
+    if (options.sink.trace) sink.trace = &traces[i];
+    results[i] = run_one(seeds[i], sink);
   };
-
-  std::vector<TrialMetrics> results(static_cast<std::size_t>(trials));
   const int workers =
       std::max(1, std::min(options.threads, trials > 0 ? trials : 1));
   if (workers == 1) {
-    for (int t = 0; t < trials; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      results[i] =
-          run_trial(params, design, seeds[i], trial_sink(i), options.engine);
-    }
+    for (std::size_t i = 0; i < n; ++i) run_at(i);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
-        for (int t = w; t < trials; t += workers) {
-          const auto i = static_cast<std::size_t>(t);
-          results[i] = run_trial(params, design, seeds[i], trial_sink(i),
-                                 options.engine);
-        }
+        for (int t = w; t < trials; t += workers)
+          run_at(static_cast<std::size_t>(t));
       });
     }
     for (auto& th : pool) th.join();
@@ -207,7 +202,18 @@ AggregateMetrics run_trials(const ScenarioParams& params,
   if (options.sink.trace)
     for (std::size_t t = 0; t < traces.size(); ++t)
       traces[t].flush_to(*options.sink.trace, static_cast<std::int32_t>(t));
-  return aggregate_in_order(results);
+  return results;
+}
+
+}  // namespace
+
+AggregateMetrics run_trials(const ScenarioParams& params,
+                            NetworkDesign design, int trials,
+                            const RunOptions& options) {
+  return aggregate_in_order(run_seeded_trials(
+      trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
+        return run_trial(params, design, seed, sink, options.engine);
+      }));
 }
 
 TrafficScenario make_traffic_scenario(FacilityLevel level,
@@ -244,58 +250,10 @@ netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
 
 AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
                             const RunOptions& options) {
-  if (trials < 0) throw std::invalid_argument("negative trial count");
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(trials));
-  util::Rng seeder(options.seed);
-  for (auto& s : seeds) s = seeder();
-
-  // Same discipline as the batch overload: private per-trial buffers,
-  // merged in trial order after the workers join.
-  std::vector<obs::TraceBuffer> traces;
-  std::vector<obs::MetricsRegistry> registries;
-  if (options.sink.trace) traces.resize(static_cast<std::size_t>(trials));
-  if (options.sink.metrics)
-    registries.resize(static_cast<std::size_t>(trials));
-
-  auto trial_sink = [&](std::size_t t) {
-    obs::Sink sink;
-    if (options.sink.metrics) sink.metrics = &registries[t];
-    if (options.sink.trace) sink.trace = &traces[t];
-    return sink;
-  };
-
-  std::vector<netsim::TrafficResult> results(
-      static_cast<std::size_t>(trials));
-  const int workers =
-      std::max(1, std::min(options.threads, trials > 0 ? trials : 1));
-  if (workers == 1) {
-    for (int t = 0; t < trials; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      results[i] =
-          run_traffic_trial(scenario, seeds[i], trial_sink(i),
-                            options.engine);
-    }
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        for (int t = w; t < trials; t += workers) {
-          const auto i = static_cast<std::size_t>(t);
-          results[i] = run_traffic_trial(scenario, seeds[i], trial_sink(i),
-                                         options.engine);
-        }
+  const std::vector<netsim::TrafficResult> results = run_seeded_trials(
+      trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
+        return run_traffic_trial(scenario, seed, sink, options.engine);
       });
-    }
-    for (auto& th : pool) th.join();
-  }
-
-  if (options.sink.metrics)
-    for (const auto& registry : registries)
-      options.sink.metrics->merge(registry);
-  if (options.sink.trace)
-    for (std::size_t t = 0; t < traces.size(); ++t)
-      traces[t].flush_to(*options.sink.trace, static_cast<std::int32_t>(t));
 
   AggregateTraffic aggregate;
   for (const auto& r : results) {

@@ -5,11 +5,12 @@
 // relaxation and rounded, exactly as the paper's evaluation does.
 //
 // The solver maximizes c^T x subject to mixed <= / >= / = constraints and
-// 0 <= x <= u. Unlike the original dense tableau (kept as a reference in
-// routing/dense_simplex.h), the constraint matrix stays compressed-sparse
-// end to end: rows are emitted in CSR form by the formulation, transposed
-// once to CSC inside the solver, and the basis is maintained as a
-// product-form (eta-file) factorization with periodic refactorization.
+// 0 <= x <= u. Unlike the original dense tableau (kept as a test oracle in
+// tests/support/dense_simplex.h, outside the library), the constraint
+// matrix stays compressed-sparse end to end: rows are emitted in CSR form
+// by the formulation, transposed once to CSC inside the solver, and the
+// basis is maintained as a product-form (eta-file) factorization with
+// periodic refactorization.
 // Box constraints are handled as variable bounds — they never become
 // explicit rows — and a Bland's-rule fallback guards against cycling on
 // the massively degenerate network-flow LPs the scheduler produces.

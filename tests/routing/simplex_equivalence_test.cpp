@@ -2,9 +2,9 @@
 
 #include "netsim/schedule.h"
 #include "netsim/topology.h"
-#include "routing/dense_simplex.h"
 #include "routing/formulation.h"
 #include "routing/simplex.h"
+#include "support/dense_simplex.h"
 #include "util/rng.h"
 
 // The sparse revised simplex must be a drop-in replacement for the dense

@@ -1,0 +1,14 @@
+#pragma once
+
+#include <unordered_set>
+
+namespace fx {
+
+struct Stream {
+  std::unordered_multimap<int, int> by_slot;
+  std::unordered_multiset<int> live;
+  long now() const { return clock.time(); }
+  struct { long time() const { return 0; } } clock;
+};
+
+}  // namespace fx

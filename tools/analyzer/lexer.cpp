@@ -133,6 +133,24 @@ class Lexer {
         body += ' ';
         continue;
       }
+      // A string literal is copied whole: "//" inside it is not a comment.
+      if (peek() == '"') {
+        body += peek();
+        advance();
+        while (pos_ < text_.size() && peek() != '"' && peek() != '\n') {
+          if (peek() == '\\' && (peek(1) == '"' || peek(1) == '\\')) {
+            body += peek();
+            advance();
+          }
+          body += peek();
+          advance();
+        }
+        if (peek() == '"') {
+          body += peek();
+          advance();
+        }
+        continue;
+      }
       body += peek();
       advance();
     }
@@ -157,7 +175,10 @@ class Lexer {
         return;
       }
     }
-    emit(TokKind::PpOther, directive, start_line);
+    while (!body.empty() &&
+           std::isspace(static_cast<unsigned char>(body.back())))
+      body.pop_back();
+    emit(TokKind::PpOther, std::move(body), start_line);
   }
 
   void lex_identifier_or_prefixed_literal() {

@@ -21,7 +21,9 @@ enum class TokKind {
   CharLit,    ///< character literal; text is the contents
   Punct,      ///< one operator/punctuator; "::", "&&", "||", "->" combined
   PpInclude,  ///< #include; text keeps the delimiter: "qec/graph.h or <vector
-  PpOther,    ///< any other preprocessor logical line; text is the directive
+  PpOther,    ///< any other preprocessor logical line; text is everything
+              ///< after '#' ("pragma once", " define X 1"): continuations
+              ///< joined, comments dropped, trailing blanks trimmed
 };
 
 struct Token {

@@ -25,6 +25,16 @@
 //   contract-coverage   a public function in a qec/decoder/routing header
 //                       subscripts with an integral parameter before any
 //                       SURFNET_EXPECTS/SURFNET_ASSERT mentions it
+//   wallclock-seeding   std::rand / srand / random_device / system_clock /
+//                       std::time / time() / gettimeofday anywhere in src,
+//                       bench, tests or examples except bench/bench_common.h
+//   stdio-in-src        std::cout / std::cerr / <iostream> / printf /
+//                       fprintf(stdout / puts in src/
+//   header-hygiene      a header whose first token is not `#pragma once`,
+//                       or an `#ifndef NAME_H` include guard
+//   event-core-purity   <chrono> / std::chrono / any *_clock / clock() /
+//                       time() / std::unordered_* in src/netsim/event* and
+//                       src/netsim/workload*
 
 #include <map>
 #include <set>
@@ -72,6 +82,8 @@ void rule_rng(const AnalyzerContext& ctx, std::vector<Finding>& out);
 void rule_unordered(const AnalyzerContext& ctx, std::vector<Finding>& out);
 void rule_trace_schema(const AnalyzerContext& ctx, std::vector<Finding>& out);
 void rule_contracts(const AnalyzerContext& ctx, std::vector<Finding>& out);
+/// wallclock-seeding, stdio-in-src, header-hygiene and event-core-purity.
+void rule_hygiene(const AnalyzerContext& ctx, std::vector<Finding>& out);
 
 /// Run every rule and return the findings sorted (file, line, rule, key),
 /// with `lint: allow(<rule>)` file-level suppressions already applied.

@@ -80,6 +80,185 @@ void rule_unordered(const AnalyzerContext& ctx, std::vector<Finding>& out) {
   }
 }
 
+namespace {
+
+// -- Token patterns for the determinism/hygiene rules ----------------------
+//
+// Comments never reach the token stream and literal contents lex as
+// String/CharLit, so a name inside either can never fire.
+
+/// Where a pattern's name must sit to match.
+enum class Shape {
+  Name,         ///< the identifier anywhere
+  Include,      ///< `#include <name>`
+  StdName,      ///< `std::name`
+  StdCall,      ///< `std::name(`
+  Call,         ///< `name(`, however qualified
+  CCall,        ///< the C function: `name(` or `std::name(`, not
+                ///< `other::name(`
+  NullaryCall,  ///< unqualified `name()`, `name(0)`, `name(NULL)`,
+                ///< `name(nullptr)`
+  StdoutCall,   ///< `name(stdout`
+};
+
+struct Pattern {
+  const char* key;   ///< finding key and message subject
+  const char* name;  ///< identifier or header the pattern anchors on
+  Shape shape;
+};
+
+const std::vector<Pattern> kWallclockPatterns = {
+    {"std::rand", "rand", Shape::StdName},
+    {"srand", "srand", Shape::Call},
+    {"std::random_device", "random_device", Shape::Name},
+    {"system_clock", "system_clock", Shape::Name},
+    {"std::time", "time", Shape::StdCall},
+    {"time()", "time", Shape::NullaryCall},
+    {"gettimeofday", "gettimeofday", Shape::Name},
+};
+
+const std::vector<Pattern> kStdioPatterns = {
+    {"std::cout", "cout", Shape::StdName},
+    {"std::cerr", "cerr", Shape::StdName},
+    {"<iostream>", "iostream", Shape::Include},
+    {"printf", "printf", Shape::CCall},
+    {"fprintf(stdout)", "fprintf", Shape::StdoutCall},
+    {"puts", "puts", Shape::CCall},
+};
+
+const std::vector<Pattern> kEventCorePatterns = {
+    {"std::chrono", "chrono", Shape::Include},
+    {"std::chrono", "chrono", Shape::StdName},
+    {"wall clock", "steady_clock", Shape::Name},
+    {"wall clock", "system_clock", Shape::Name},
+    {"wall clock", "high_resolution_clock", Shape::Name},
+    {"clock()", "clock", Shape::CCall},
+    {"time()", "time", Shape::CCall},
+    {"std::unordered_* container", "unordered_map", Shape::Include},
+    {"std::unordered_* container", "unordered_map", Shape::Name},
+    {"std::unordered_* container", "unordered_set", Shape::Include},
+    {"std::unordered_* container", "unordered_set", Shape::Name},
+    {"std::unordered_* container", "unordered_multimap", Shape::Include},
+    {"std::unordered_* container", "unordered_multimap", Shape::Name},
+    {"std::unordered_* container", "unordered_multiset", Shape::Include},
+    {"std::unordered_* container", "unordered_multiset", Shape::Name},
+};
+
+bool matches(const std::vector<Token>& t, std::size_t i, const Pattern& p) {
+  auto punct_at = [&](std::size_t j, const char* s) {
+    return j < t.size() && is_punct(t[j], s);
+  };
+  auto ident_at = [&](std::size_t j, const char* s) {
+    return j < t.size() && t[j].kind == TokKind::Ident && t[j].text == s;
+  };
+  if (t[i].kind == TokKind::PpInclude)
+    return p.shape == Shape::Include &&
+           t[i].text == std::string("<") + p.name;
+  if (!ident_at(i, p.name)) return false;
+  const bool qualified = i >= 1 && is_punct(t[i - 1], "::");
+  const bool std_qualified = qualified && i >= 2 && ident_at(i - 2, "std");
+  const bool call = punct_at(i + 1, "(");
+  switch (p.shape) {
+    case Shape::Name: return true;
+    case Shape::Include: return false;
+    case Shape::StdName: return std_qualified;
+    case Shape::StdCall: return std_qualified && call;
+    case Shape::Call: return call;
+    case Shape::CCall: return call && (!qualified || std_qualified);
+    case Shape::StdoutCall: return call && ident_at(i + 2, "stdout");
+    case Shape::NullaryCall: {
+      if (!call || qualified) return false;
+      const bool null_arg =
+          ident_at(i + 2, "NULL") || ident_at(i + 2, "nullptr") ||
+          (i + 2 < t.size() && t[i + 2].kind == TokKind::Number &&
+           t[i + 2].text == "0");
+      return punct_at(i + (null_arg ? 3 : 2), ")");
+    }
+  }
+  return false;
+}
+
+/// The file's tokens plus, after each non-include directive, its body
+/// re-lexed at the directive's line: a `#define` or `#if` body is code
+/// the patterns must see.
+std::vector<Token> pattern_tokens(const FileModel& f) {
+  std::vector<Token> out;
+  out.reserve(f.tokens.size());
+  for (const Token& tok : f.tokens) {
+    out.push_back(tok);
+    if (tok.kind != TokKind::PpOther) continue;
+    for (Token inner : lex(tok.text).tokens) {
+      inner.line = tok.line;
+      out.push_back(std::move(inner));
+    }
+  }
+  return out;
+}
+
+void scan(const FileModel& f, const std::vector<Token>& toks,
+          const std::vector<Pattern>& patterns, const char* rule,
+          const std::string& why, std::vector<Finding>& out) {
+  for (std::size_t i = 0; i < toks.size(); ++i)
+    for (const Pattern& p : patterns)
+      if (matches(toks, i, p))
+        out.push_back({f.rel_path, toks[i].line, rule, p.key,
+                       std::string(p.key) + why});
+}
+
+bool is_wallclock_tree(const std::string& rel) {
+  for (const char* tree : {"src", "bench", "tests", "examples"})
+    if (in_tree(rel, tree)) return true;
+  return false;
+}
+
+/// `#ifndef NAME_H`: an include guard instead of the pragma.
+bool is_ifndef_guard(const Token& directive) {
+  if (directive.kind != TokKind::PpOther) return false;
+  const std::vector<Token> t = lex(directive.text).tokens;
+  return t.size() >= 2 && t[0].text == "ifndef" &&
+         t[1].kind == TokKind::Ident && t[1].text.size() >= 3 &&
+         t[1].text.ends_with("_H");
+}
+
+}  // namespace
+
+void rule_hygiene(const AnalyzerContext& ctx, std::vector<Finding>& out) {
+  for (const FileModel& f : ctx.files) {
+    const std::string& rel = f.rel_path;
+    const std::vector<Token> toks = pattern_tokens(f);
+
+    // The ArgParser owns the only wall-clock escape hatch.
+    if (is_wallclock_tree(rel) && rel != "bench/bench_common.h")
+      scan(f, toks, kWallclockPatterns, "wallclock-seeding",
+           " breaks deterministic seeding; derive randomness from an "
+           "explicit seed (util/rng.h)",
+           out);
+    if (in_tree(rel, "src"))
+      scan(f, toks, kStdioPatterns, "stdio-in-src",
+           " in library code; report through the obs layer (src/obs) "
+           "instead",
+           out);
+    if (rel.rfind("src/netsim/event", 0) == 0 ||
+        rel.rfind("src/netsim/workload", 0) == 0)
+      scan(f, toks, kEventCorePatterns, "event-core-purity",
+           " in the event engine; virtual time comes from the event queue "
+           "only and handler state must iterate deterministically "
+           "(vectors/sorted), or the slot-engine bitwise equivalence breaks",
+           out);
+
+    if (!f.is_header) continue;
+    if (f.tokens.empty() || f.tokens[0].kind != TokKind::PpOther ||
+        f.tokens[0].text != "pragma once")
+      out.push_back({rel, f.tokens.empty() ? 1 : f.tokens[0].line,
+                     "header-hygiene", "pragma-once",
+                     "first non-comment line must be '#pragma once'"});
+    for (const Token& tok : f.tokens)
+      if (is_ifndef_guard(tok))
+        out.push_back({rel, tok.line, "header-hygiene", "ifndef-guard",
+                       "#ifndef include guard; use #pragma once"});
+  }
+}
+
 std::vector<Finding> run_rules(const AnalyzerContext& ctx) {
   std::vector<Finding> findings;
   rule_lexer(ctx, findings);
@@ -88,9 +267,10 @@ std::vector<Finding> run_rules(const AnalyzerContext& ctx) {
   rule_unordered(ctx, findings);
   rule_trace_schema(ctx, findings);
   rule_contracts(ctx, findings);
+  rule_hygiene(ctx, findings);
 
-  // File-level `lint: allow(<rule>)` suppression, same contract as
-  // scripts/lint_surfnet.py.
+  // File-level suppression: a `lint: allow(<rule>)` marker anywhere in a
+  // file drops that rule's findings for the whole file.
   std::map<std::string, const FileModel*> by_rel;
   for (const FileModel& f : ctx.files) by_rel[f.rel_path] = &f;
   std::vector<Finding> kept;
