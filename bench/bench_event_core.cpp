@@ -1,28 +1,25 @@
-// Engine comparison: dense slot oracle vs activity-proportional event
-// engine on the same workloads. Sweeps network size (grid side), activity
-// density (busy = a long stream of codes in constant motion; sparse = a
-// single code pinned behind a scripted fiber cut until its request times
-// out) and timeout length (short/long). Every cell runs both engines from
-// the same seed and asserts the SimulationResults are identical before
-// trusting the timings, so the speedup column can never come from
-// divergent work.
+// Visit-policy comparison: the Slot oracle (every slot visited, eager
+// pools) vs the Event policy (skips and lazy pools) of the one
+// surface-code loop, on the same workloads. Sweeps network size (grid
+// side), activity density (busy = a long stream of codes in constant
+// motion; sparse = a single code pinned behind a scripted fiber cut until
+// its request times out) and timeout length (short/long). Every cell runs
+// both policies from the same seed and asserts the SimulationResults are
+// identical before trusting the timings, so the speedup column can never
+// come from divergent work.
 //
-// Expected shape: busy cells stay near 1x (both engines visit every slot;
-// the event engine trades queue upkeep against lazy per-fiber pools) while
-// sparse cells grow with timeout length x fiber count — the slot engine
-// pays O(fibers) per waited slot, the event engine jumps straight to the
-// fault expiry/timeout. The sparse long-timeout row is the headline: the
-// event engine must clear 5x there (scripts/bench_compare.py --speedup-min
-// asserts the floor, and its --key/--metric mode gates every row against
-// the committed baseline).
+// Expected shape: busy cells stay near 1x (both policies visit every
+// slot; Event trades queue upkeep against lazy per-fiber pools) while
+// sparse cells grow with timeout length x fiber count — Slot pays
+// O(fibers) per waited slot, Event jumps straight to the fault
+// expiry/timeout. The sparse long-timeout row is the headline: Event must
+// clear 5x there (scripts/bench_compare.py --speedup-min asserts the
+// floor, and its --key/--metric mode gates every row against the
+// committed baseline).
 //
-// The engines run unobserved here on purpose: an attached sink forces the
-// event engine into dense mode, so a sink would measure observability
-// overhead, not engine overhead (bench_obs_overhead covers that).
-//
-// --engine slot|event restricts which engine is executed and timed (the
-// cross-engine equality assertion then has nothing to compare and is
-// skipped); the default runs and checks both.
+// Both policies run unobserved here on purpose: an attached sink forces
+// Event to visit every slot, so a sink would measure observability
+// overhead, not the cost of the visit policy.
 
 #include <chrono>
 #include <cstdio>
@@ -115,7 +112,7 @@ netsim::SimulationParams make_params(const netsim::Topology& topology,
   return params;
 }
 
-/// Result fingerprint for the cross-engine equality assertion.
+/// Result fingerprint for the cross-policy equality assertion.
 std::string dump(const netsim::SimulationResult& r) {
   std::ostringstream out;
   out << r.codes_scheduled << '/' << r.codes_delivered << '/'
@@ -141,12 +138,10 @@ struct Row {
 int main(int argc, char** argv) {
   bench::ArgParser args("event_core", argc, argv);
   const int trials = args.resolve_trials(3, 10);
-  const bool run_slot = args.engine_enabled(netsim::SimEngine::Slot);
-  const bool run_event = args.engine_enabled(netsim::SimEngine::Event);
   const decoder::SurfNetDecoder dec;
 
   if (!args.json())
-    std::printf("Engine comparison: slot oracle vs event engine, %d "
+    std::printf("Visit policies: Slot oracle vs Event, %d "
                 "trial(s) per cell, seed %llu\n\n",
                 trials, static_cast<unsigned long long>(args.seed()));
 
@@ -171,30 +166,23 @@ int main(int argc, char** argv) {
     util::Rng seeder(args.seed());
     for (int t = 0; t < trials; ++t) {
       const std::uint64_t seed = seeder();
-      std::string slot_dump, event_dump;
-      if (run_slot) {
+      auto timed_run = [&](netsim::SimEngine engine, std::int64_t& ns) {
         util::Rng rng(seed);
         const auto begin = std::chrono::steady_clock::now();
-        const auto result =
-            netsim::simulate_surfnet(topology, schedule, params, dec, rng);
-        slot_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - begin)
-                       .count();
-        slot_dump = dump(result);
-      }
-      if (run_event) {
-        util::Rng rng(seed);
-        const auto begin = std::chrono::steady_clock::now();
-        const auto result = netsim::simulate_surfnet_event(
-            topology, schedule, params, dec, rng);
-        event_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - begin)
-                        .count();
-        event_dump = dump(result);
-      }
-      if (run_slot && run_event && slot_dump != event_dump) {
+        const auto result = netsim::simulate_surfnet(topology, schedule,
+                                                     params, dec, rng, engine);
+        ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - begin)
+                  .count();
+        return dump(result);
+      };
+      const std::string slot_dump =
+          timed_run(netsim::SimEngine::Slot, slot_ns);
+      const std::string event_dump =
+          timed_run(netsim::SimEngine::Event, event_ns);
+      if (slot_dump != event_dump) {
         std::fprintf(stderr,
-                     "FATAL: engines diverged on %s grid=%d seed=%llu\n"
+                     "FATAL: policies diverged on %s grid=%d seed=%llu\n"
                      "slot:\n%s\nevent:\n%s\n",
                      scenario.name.c_str(), scenario.grid,
                      static_cast<unsigned long long>(seed),
@@ -204,7 +192,7 @@ int main(int argc, char** argv) {
     }
     row.slot_ms = static_cast<double>(slot_ns) / 1e6;
     row.event_ms = static_cast<double>(event_ns) / 1e6;
-    if (run_slot && run_event && event_ns > 0)
+    if (event_ns > 0)
       row.speedup = static_cast<double>(slot_ns) /
                     static_cast<double>(event_ns);
     rows.push_back(std::move(row));
@@ -243,7 +231,7 @@ int main(int argc, char** argv) {
                    util::Table::fmt(r.speedup, 1)});
   table.print(std::cout);
   std::printf("\nExpected shape: busy cells near 1x (every slot is active "
-              "under both engines); sparse cells scale with timeout x "
+              "under both policies); sparse cells scale with timeout x "
               "fibers, far past the 5x acceptance floor on the long rows.\n");
   return 0;
 }

@@ -16,9 +16,7 @@
 // --key cell --metric requests_per_sec.
 //
 // All rows are single-stream by construction (an open-loop stream is one
-// causal chain); --trials scales the warm/cold timing repetitions, and
-// --engine slot|event picks the workload engine (bitwise-identical
-// results; event is the default).
+// causal chain); --trials scales the warm/cold timing repetitions.
 
 #include <chrono>
 #include <cstdio>
@@ -89,7 +87,7 @@ struct TrafficRow {
 };
 
 TrafficRow run_cell(const TrafficCell& cell, std::uint64_t seed,
-                    core::SimEngine engine, const obs::Sink& sink) {
+                    const obs::Sink& sink) {
   core::TrafficScenario scenario = core::make_traffic_scenario(
       core::FacilityLevel::Sufficient, core::ConnectionQuality::Good);
   scenario.topology.num_nodes = cell.nodes;
@@ -105,7 +103,7 @@ TrafficRow run_cell(const TrafficCell& cell, std::uint64_t seed,
   TrafficRow row;
   row.cell = cell;
   const auto begin = std::chrono::steady_clock::now();
-  row.result = core::run_traffic_trial(scenario, seed, sink, engine);
+  row.result = core::run_traffic_trial(scenario, seed, sink);
   row.wall_ms = ms_since(begin);
   if (row.wall_ms > 0.0)
     row.requests_per_sec =
@@ -187,7 +185,6 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
 int main(int argc, char** argv) {
   bench::ArgParser args("traffic", argc, argv);
   const int reps = args.resolve_trials(5, 20);
-  const auto engine = args.selected_engine();
 
   if (!args.json())
     std::printf("Dynamic-traffic engine: open-loop streams over the "
@@ -199,7 +196,7 @@ int main(int argc, char** argv) {
   // --trials runs when tracing the sustained cell.
   std::vector<TrafficRow> traffic;
   for (const auto& cell : traffic_cells())
-    traffic.push_back(run_cell(cell, args.seed(), engine, args.sink()));
+    traffic.push_back(run_cell(cell, args.seed(), args.sink()));
 
   std::vector<WarmRow> warm;
   for (const int delta : {1, 2, 4, 8, 16, 32})

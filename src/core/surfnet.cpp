@@ -81,13 +81,7 @@ ScenarioParams make_scenario(FacilityLevel level, ConnectionQuality quality) {
 }
 
 TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
-                       std::uint64_t seed) {
-  return run_trial(params, design, seed, obs::Sink{});
-}
-
-TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
-                       std::uint64_t seed, const obs::Sink& sink,
-                       SimEngine engine) {
+                       std::uint64_t seed, const obs::Sink& sink) {
   util::Rng rng(seed);
   const auto topology = netsim::make_random_topology(params.topology, rng);
   const auto requests = netsim::random_requests(
@@ -125,7 +119,7 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
   }
 
   const decoder::SurfNetDecoder dec;
-  const auto simulator = netsim::make_simulator(design, dec, engine);
+  const auto simulator = netsim::make_simulator(design, dec);
   const auto sim = simulator->run(topology, schedule, simulation, rng);
 
   TrialMetrics metrics;
@@ -212,7 +206,7 @@ AggregateMetrics run_trials(const ScenarioParams& params,
                             const RunOptions& options) {
   return aggregate_in_order(run_seeded_trials(
       trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
-        return run_trial(params, design, seed, sink, options.engine);
+        return run_trial(params, design, seed, sink);
       }));
 }
 
@@ -233,8 +227,7 @@ TrafficScenario make_traffic_scenario(FacilityLevel level,
 
 netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
                                         std::uint64_t seed,
-                                        const obs::Sink& sink,
-                                        SimEngine engine) {
+                                        const obs::Sink& sink) {
   util::Rng rng(seed);
   const auto topology =
       netsim::make_random_topology(scenario.topology, rng);
@@ -245,14 +238,14 @@ netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
 
   netsim::WorkloadParams workload = scenario.workload;
   workload.sink = sink;
-  return netsim::run_traffic(topology, provider, workload, rng, engine);
+  return netsim::run_traffic(topology, provider, workload, rng);
 }
 
 AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
                             const RunOptions& options) {
   const std::vector<netsim::TrafficResult> results = run_seeded_trials(
       trials, options, [&](std::uint64_t seed, const obs::Sink& sink) {
-        return run_traffic_trial(scenario, seed, sink, options.engine);
+        return run_traffic_trial(scenario, seed, sink);
       });
 
   AggregateTraffic aggregate;

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "netsim/event_simulator.h"
 #include "netsim/simulator.h"
 #include "netsim/topology.h"
 #include "netsim/workload.h"
@@ -45,12 +44,6 @@ enum class ConnectionQuality { Good, Poor };
 /// The five network designs compared in Fig. 7 (defined next to the
 /// simulators that execute them; re-exported here for the facade API).
 using netsim::NetworkDesign;
-
-/// Simulation engine selection (netsim/event_simulator.h). Both engines
-/// compute the identical function — same results, traces, metrics, RNG
-/// stream — so this only chooses the execution strategy: Event is
-/// activity-proportional, Slot is the dense differential oracle.
-using netsim::SimEngine;
 
 std::string_view to_string(FacilityLevel level);
 std::string_view to_string(ConnectionQuality quality);
@@ -78,18 +71,12 @@ struct TrialMetrics {
   int codes_delivered = 0;
 };
 
-/// Run one seeded trial of a design.
+/// Run one seeded trial of a design. The sink is handed down into the
+/// routing protocol (LP solve metrics/events) and the simulator (per-slot
+/// events); the null default adds no instrumentation and leaves the trial
+/// bitwise unchanged.
 TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
-                       std::uint64_t seed);
-
-/// Observed variant: the sink is handed down into the routing protocol
-/// (LP solve metrics/events) and the simulator (per-slot events). A null
-/// sink behaves exactly like the overload above. `engine` picks the
-/// simulation engine; the default (Event) and Slot produce bitwise-equal
-/// trials.
-TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
-                       std::uint64_t seed, const obs::Sink& sink,
-                       SimEngine engine = SimEngine::Event);
+                       std::uint64_t seed, const obs::Sink& sink = {});
 
 struct AggregateMetrics {
   util::RunningStat fidelity;
@@ -101,9 +88,6 @@ struct AggregateMetrics {
 struct RunOptions {
   std::uint64_t seed = 20240607;  ///< base of the per-trial seed sequence
   int threads = 1;                ///< worker threads (clamped to [1, trials])
-  /// Simulation engine for every trial. Slot and Event runs are
-  /// bitwise-identical; Event is asymptotically cheaper on sparse runs.
-  SimEngine engine = SimEngine::Event;
   /// Observability handle. Each trial records into private buffers that are
   /// merged into this sink in trial order after the workers join, so both
   /// the metrics document and the trace are thread-count invariant.
@@ -134,12 +118,10 @@ TrafficScenario make_traffic_scenario(FacilityLevel level,
 
 /// Run one seeded traffic trial. The sink observes the workload stream
 /// (arrival/admit/blocked/depart events, "traffic.*" counters) and every
-/// LP solve of the incremental router; engine Slot and Event produce
-/// bitwise-identical results.
+/// LP solve of the incremental router.
 netsim::TrafficResult run_traffic_trial(const TrafficScenario& scenario,
                                         std::uint64_t seed,
-                                        const obs::Sink& sink = {},
-                                        SimEngine engine = SimEngine::Event);
+                                        const obs::Sink& sink = {});
 
 struct AggregateTraffic {
   util::RunningStat admitted_per_slot;
@@ -152,7 +134,7 @@ struct AggregateTraffic {
 /// contract: per-trial seeds derive from options.seed alone and per-trial
 /// observability buffers are merged in trial order, so the aggregate, the
 /// metrics document and the trace are identical for every options.threads
-/// value and both engines.
+/// value.
 AggregateTraffic run_trials(const TrafficScenario& scenario, int trials,
                             const RunOptions& options = {});
 

@@ -5,7 +5,7 @@
 // The engine advances time by popping the earliest pending event from a
 // deterministic min-heap (netsim/event_queue.h) instead of sweeping every
 // slot. An event names a *slot the engine must visit* — visiting a slot
-// replays the exact per-slot semantics of the slot engine, so an event is
+// replays the exact per-slot semantics of the Slot policy, so an event is
 // a wake-up call, never a state mutation of its own. Pop order is a pure
 // function of the push sequence: events order by slot, then by class
 // priority (the enum value), then by a stable sequence id assigned at

@@ -1,6 +1,7 @@
 #include "netsim/event_simulator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -8,21 +9,23 @@
 
 #include "netsim/event_queue.h"
 #include "netsim/sim_internal.h"
+#include "netsim/simulator.h"
 
-// Engine equivalence argument (details in DESIGN.md §"Event engine").
+// Visit-policy equivalence argument (details in DESIGN.md §"Event
+// engine").
 //
-// A *visited* slot executes the exact slot-engine phase sequence —
-// entanglement generation, FaultInjector::begin_slot, pool snapshot,
-// service-order shuffle, per-code processing — through the shared code in
-// netsim/sim_internal.h, so a visit can never diverge from the oracle.
-// The queue only decides WHICH slots are visited. A slot may be skipped
-// only when the slot engine provably (a) draws no random variate there,
-// (b) emits no sink event there, and (c) changes state only in ways a
-// closed form reproduces (deterministic pool gains, cooldown decrements,
+// Every *visited* slot executes the same phase sequence — entanglement
+// generation, FaultInjector::begin_slot, pool snapshot, service-order
+// shuffle, per-code processing — under both visit policies. The queue
+// only decides WHICH slots are visited. Under SimEngine::Event a slot may
+// be skipped only when visiting it provably (a) draws no random variate,
+// (b) emits no sink event, and (c) changes state only in ways a closed
+// form reproduces (deterministic pool gains, cooldown decrements,
 // failed-reroute counters). Three run modes make that proof easy:
 //
-//   eager  — sink attached or fractional base rate: the gains sweep runs
-//            verbatim every slot (it draws / must be observed per slot).
+//   eager  — Slot policy, sink attached or fractional base rate: the
+//            gains sweep runs verbatim every slot (it draws / must be
+//            observed per slot).
 //   dense  — eager, or stochastic fault processes, or != 1 request:
 //            every slot is visited; pools may still be lazy.
 //   skip   — single request, scripted-only faults, integral base rate,
@@ -68,7 +71,7 @@ constexpr int kNever = std::numeric_limits<int>::max();
 
 /// Per-fiber prepared-pair pools with lazily materialized gains.
 ///
-/// The slot engine adds `min(cap, pairs + gain)` to every fiber every
+/// The eager sweep adds `min(cap, pairs + gain)` to every fiber every
 /// slot. With an integral generation rate the gain is deterministic, so a
 /// fiber's level after k untouched slots has the closed form
 /// `min(cap, p0 + whole·k)` (saturation is absorbing because gains are
@@ -78,8 +81,11 @@ constexpr int kNever = std::numeric_limits<int>::max();
 /// draws cannot be skipped without changing the RNG stream, so fibers
 /// inside a fractional-rate degradation window live in `fractional_` and
 /// are materialized (drawing, in ascending fiber order, exactly like the
-/// slot engine's sweep) at every slot while the window lasts; the engine
-/// visits every slot of such a window (fractional_until()).
+/// eager sweep) at every slot while the window lasts; the loop visits
+/// every slot of such a window (fractional_until()).
+///
+/// With `eager` set (the Slot policy, an attached sink, or a fractional
+/// base rate) every fiber advances every slot through the sweep itself.
 ///
 /// Rate history per fiber is "current degradation window, then base":
 /// the RateChangeListener hook materializes a fiber up to the mutation
@@ -99,7 +105,7 @@ class LazyPools final : public RateChangeListener {
         win_factor_(static_cast<std::size_t>(topology.num_fibers()), 1.0) {}
 
   /// Phase 1 of a visited slot: entanglement generation. Eager mode runs
-  /// the slot-engine sweep verbatim; lazy mode draws only for fibers
+  /// the per-slot sweep verbatim; lazy mode draws only for fibers
   /// inside a live fractional window (the only fibers the sweep draws
   /// for when the base rate is integral).
   void generate(int slot, util::Rng& rng) {
@@ -163,7 +169,7 @@ class LazyPools final : public RateChangeListener {
   /// Smallest slot t >= from with level(fiber, t) >= need assuming no
   /// consumption in between; kNever when unreachable, `from` when the
   /// crossing has no closed form (early wake-ups are harmless, late ones
-  /// would skip a jump the oracle makes).
+  /// would skip a jump the Slot policy makes).
   int first_ready(int fiber, int need, int from) {
     if (eager_) return from;
     const auto e = static_cast<std::size_t>(fiber);
@@ -242,13 +248,200 @@ class LazyPools final : public RateChangeListener {
   int fractional_until_ = 0;
 };
 
-/// Pool adapter handed to the shared process_code() template.
-struct LazyPoolView {
-  LazyPools* pools;
-  int slot;
-  int level(int fiber) const { return pools->level(fiber, slot); }
-  void consume(int fiber, int n) { pools->consume(fiber, n); }
+/// What one process_code() invocation did to the code.
+enum class CodeStep {
+  InFlight,  ///< still active next slot
+  Finished,  ///< delivered or timed out; a CodeRecord was appended
 };
+
+/// Side facts compute_wake() needs about the visit just executed.
+/// Recording these changes no behavior.
+struct StepFlags {
+  bool support_reroute_failed = false;  ///< blocked + local recovery failed
+  bool core_reroute_failed = false;
+};
+
+/// One code's work in one visited slot: timeout budget, cooldown, Support
+/// hop, Core segment jump, barrier decode — in a fixed RNG draw order.
+CodeStep process_code(const Topology& topology, const FaultInjector& injector,
+                      const RecoveryPolicy& policy,
+                      const SimulationParams& params,
+                      const decoder::Decoder& decoder, const RequestPlan& plan,
+                      ActiveCode& code, int slot, LazyPools& pools,
+                      SimulationResult& result, util::Rng& rng,
+                      StepFlags& flags) {
+  const obs::Sink& sink = params.sink;
+  // Per-code timeout budget: a starved code is abandoned individually
+  // instead of pinning its request to the end of the run.
+  if (policy.code_timeout_slots > 0 &&
+      slot - code.start_slot >= policy.code_timeout_slots) {
+    const int slots = slot - code.start_slot;
+    result.codes.push_back({plan.sched->request_index, slots, code.corrections,
+                            CodeOutcome::TimedOut});
+    if (sink.metrics) sink.metrics->count("sim.timeouts");
+    if (sink.trace)
+      sink.trace->record(
+          obs::Event::timeout(slot, plan.sched->request_index, slots));
+    return CodeStep::Finished;
+  }
+  if (code.cooldown > 0) {
+    --code.cooldown;
+    return CodeStep::InFlight;
+  }
+  const auto& barrier = plan.barriers[static_cast<std::size_t>(code.barrier)];
+
+  // Plain channel: the Support part advances one fiber per slot; a
+  // failed fiber or dead next node triggers a local recovery path (or
+  // the photons are held in error-mitigation circuits until the route
+  // heals).
+  if (code.s_pos < code.s_target) {
+    const int next = code.s_path[static_cast<std::size_t>(code.s_pos) + 1];
+    const int e = topology.fiber_between(
+        code.s_path[static_cast<std::size_t>(code.s_pos)], next);
+    if (!injector.fiber_down(e, slot) && !injector.node_down(next, slot)) {
+      ++code.s_pos;
+      code.acc_support_mu += topology.fiber_noise(e);
+      ++code.acc_support_hops;
+    } else if (policy.local_reroute) {
+      if (local_reroute(topology, injector, slot, code.s_path, code.s_pos,
+                        barrier.node)) {
+        code.s_target = find_on_path(code.s_path, barrier.node, code.s_pos);
+        code.failed_reroutes = 0;
+        if (sink.metrics) sink.metrics->count("sim.recoveries");
+        if (sink.trace)
+          sink.trace->record(obs::Event::recovery(
+              slot, plan.sched->request_index, /*core_channel=*/false));
+      } else {
+        reroute_failed(topology, injector, policy, sink, plan, code,
+                       /*core_channel=*/false, slot);
+        flags.support_reroute_failed = true;
+      }
+    }
+  }
+
+  // Entanglement-based channel: opportunistic movement over up to
+  // `opportunistic_segment` fibers once every fiber of the segment is
+  // alive and holds enough prepared pairs.
+  if (!plan.raw && code.c_pos < code.c_target) {
+    const int n_core = plan.geometry->partition.num_core;
+    const int remaining = code.c_target - code.c_pos;
+    const int segment = std::min(params.opportunistic_segment, remaining);
+    bool ready = true;
+    bool broken = false;
+    for (int h = 0; h < segment; ++h) {
+      const int e = topology.fiber_between(
+          code.c_path[static_cast<std::size_t>(code.c_pos + h)],
+          code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)]);
+      if (injector.fiber_down(e, slot) ||
+          injector.node_down(
+              code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)], slot))
+        broken = true;
+      if (pools.level(e, slot) < n_core) ready = false;
+    }
+    if (broken) {
+      if (policy.local_reroute) {
+        if (local_reroute(topology, injector, slot, code.c_path, code.c_pos,
+                          barrier.node)) {
+          code.c_target = find_on_path(code.c_path, barrier.node, code.c_pos);
+          code.failed_reroutes = 0;
+          if (sink.metrics) sink.metrics->count("sim.recoveries");
+          if (sink.trace)
+            sink.trace->record(obs::Event::recovery(
+                slot, plan.sched->request_index, /*core_channel=*/true));
+        } else {
+          reroute_failed(topology, injector, policy, sink, plan, code,
+                         /*core_channel=*/true, slot);
+          flags.core_reroute_failed = true;
+        }
+      }
+    } else if (ready) {
+      double segment_mu = 0.0;
+      for (int h = 0; h < segment; ++h) {
+        const int e = topology.fiber_between(
+            code.c_path[static_cast<std::size_t>(code.c_pos + h)],
+            code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)]);
+        pools.consume(e, n_core);
+        segment_mu += topology.fiber_noise(e);
+      }
+      // Entanglement swapping and teleportation are probabilistic; a
+      // failed attempt wastes the consumed pairs.
+      const bool success =
+          params.swap_success >= 1.0 ||
+          rng.bernoulli(std::pow(params.swap_success, segment));
+      if (sink.metrics) {
+        sink.metrics->count("sim.segment_jumps");
+        if (!success) sink.metrics->count("sim.segment_jump_failures");
+      }
+      if (sink.trace)
+        sink.trace->record(obs::Event::segment_jump(
+            slot, plan.sched->request_index,
+            code.c_path[static_cast<std::size_t>(code.c_pos)],
+            code.c_path[static_cast<std::size_t>(code.c_pos + segment)],
+            segment, success));
+      if (success) {
+        code.c_pos += segment;
+        code.acc_core_mu += segment_mu;
+        ++code.jumps_since_ec;
+        code.swap_attempts = 0;
+      } else if (policy.max_swap_retries > 0) {
+        // Bounded retries: back off exponentially instead of hammering
+        // the starved pools; past the budget, escalate to a full
+        // re-route.
+        ++code.swap_attempts;
+        if (code.swap_attempts > policy.max_swap_retries) {
+          escalate(topology, injector, sink, plan, code,
+                   /*core_channel=*/true, slot);
+          code.swap_attempts = 0;
+        } else {
+          const int backoff = policy.backoff_slots(code.swap_attempts);
+          code.cooldown = backoff;
+          if (sink.metrics) sink.metrics->count("sim.retries");
+          if (sink.trace)
+            sink.trace->record(obs::Event::retry(
+                slot, plan.sched->request_index, /*core_channel=*/true,
+                code.swap_attempts, backoff));
+        }
+      }
+    }
+  }
+
+  // Barrier reached by both parts: correct (or finally read out).
+  // Corrections wait while the barrier node is down or a decode-latency
+  // spike stalls the network's decoders.
+  const bool support_done = code.s_pos >= code.s_target;
+  const bool core_done = plan.raw || code.c_pos >= code.c_target;
+  if (support_done && core_done && !injector.node_down(barrier.node, slot) &&
+      !injector.decode_stalled(slot)) {
+    run_correction(plan, code, slot, barrier.node, barrier.is_ec, params,
+                   decoder, rng);
+    const bool final_barrier =
+        code.barrier + 1 == static_cast<int>(plan.barriers.size());
+    if (final_barrier) {
+      ++result.codes_delivered;
+      if (!code.corrupted) ++result.codes_succeeded;
+      const int slots = slot - code.start_slot + 1;
+      result.total_latency += slots;
+      result.codes.push_back({plan.sched->request_index, slots,
+                              code.corrections,
+                              code.corrupted ? CodeOutcome::LogicalError
+                                             : CodeOutcome::Succeeded});
+      if (sink.metrics) {
+        sink.metrics->count("sim.delivered");
+        if (!code.corrupted) sink.metrics->count("sim.succeeded");
+        sink.metrics->observe("sim.latency_slots", slots, latency_bounds());
+      }
+      if (sink.trace)
+        sink.trace->record(obs::Event::delivered(
+            slot, plan.sched->request_index, slots, code.corrections,
+            code.corrupted));
+      return CodeStep::Finished;
+    }
+    ++code.barrier;
+    retarget(plan, code);
+    code.cooldown = 1;  // the EC circuit occupies one slot
+  }
+  return CodeStep::InFlight;
+}
 
 struct WakePlan {
   int slot = kNever;
@@ -378,11 +571,11 @@ void advance_gap(const RecoveryPolicy& policy, ActiveCode& code,
 
 }  // namespace
 
-SimulationResult simulate_surfnet_event(const Topology& topology,
-                                        const Schedule& schedule,
-                                        const SimulationParams& params,
-                                        const decoder::Decoder& decoder,
-                                        util::Rng& rng) {
+SimulationResult simulate_surfnet(const Topology& topology,
+                                  const Schedule& schedule,
+                                  const SimulationParams& params,
+                                  const decoder::Decoder& decoder,
+                                  util::Rng& rng, SimEngine engine) {
   using namespace detail;
   SimulationResult result;
   result.codes_scheduled = schedule.scheduled_codes();
@@ -411,8 +604,10 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
   const EntanglementRates rates(topology, params, injector);
 
   // Run-mode selection (header comment): eager replays the gains sweep
-  // verbatim; dense visits every slot; otherwise slots are skipped.
-  const bool eager = sink.enabled() || rates.base_frac() > 0.0;
+  // verbatim; dense visits every slot; otherwise slots are skipped. The
+  // Slot policy is eager (and so dense) by definition.
+  const bool every_slot = engine == SimEngine::Slot;
+  const bool eager = every_slot || sink.enabled() || rates.base_frac() > 0.0;
   const bool dense =
       eager || injector.stochastic().any() || plans.size() != 1;
   LazyPools pools(topology, rates, injector, eager);
@@ -449,7 +644,8 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
     final_slot = slot;
     ++visited;
 
-    // A visit is the exact slot-engine phase sequence.
+    // A visit: generation, fault injection, pool snapshot, service-order
+    // shuffle, per-code processing.
     pools.generate(slot, rng);
     injector.begin_slot(slot, rng, sink, &pools);
     pools.sync(slot);
@@ -469,11 +665,10 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
         active[idx] = launch(plan, slot);
         has_active[idx] = 1;
       }
-      LazyPoolView pool{&pools, slot};
       flags = StepFlags{};
       if (process_code(topology, injector, policy, params, decoder, plan,
-                       active[idx], slot, pool, result, rng,
-                       &flags) == CodeStep::Finished) {
+                       active[idx], slot, pools, result, rng,
+                       flags) == CodeStep::Finished) {
         has_active[idx] = 0;
         --in_flight_or_pending;
       }
@@ -506,7 +701,7 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
     slot = next;
   }
 
-  // The oracle sweeps every remaining slot (drawing nothing a skipped
+  // A dense run visits every remaining slot (drawing nothing a skipped
   // slot would have drawn) and censors in-flight codes at the cap.
   if (in_flight_or_pending > 0 && params.max_slots > 0)
     final_slot = params.max_slots - 1;
@@ -522,36 +717,15 @@ SimulationResult simulate_surfnet_event(const Topology& topology,
           final_slot, plans[idx].sched->request_index, slots));
   }
 
-  // Engine-specific observability: the only sink keys the event engine
-  // adds over the slot engine, all under "sim.event_*" so differential
-  // comparisons can strip them.
-  if (sink.metrics) {
+  // Visit-policy observability: the only sink keys Event adds over Slot,
+  // all under "sim.event_*" so differential comparisons can strip them.
+  if (sink.metrics && !every_slot) {
     sink.metrics->gauge("sim.event_queue_peak",
                         static_cast<double>(queue.peak_size()));
     sink.metrics->count("sim.event_slots_visited", visited);
     sink.metrics->count("sim.event_slots_skipped", skipped_total);
   }
   return result;
-}
-
-std::unique_ptr<Simulator> make_simulator(NetworkDesign design,
-                                          const decoder::Decoder& decoder,
-                                          SimEngine engine) {
-  switch (design) {
-    case NetworkDesign::SurfNet:
-    case NetworkDesign::Raw:
-      if (engine == SimEngine::Event)
-        return std::make_unique<EventSurfNetSimulator>(decoder);
-      return std::make_unique<SurfNetSimulator>(decoder);
-    case NetworkDesign::Purification1:
-    case NetworkDesign::Purification2:
-    case NetworkDesign::Purification9:
-      // Purification has no event engine; the slot loop is already
-      // pair-pool-bound and cheap.
-      return std::make_unique<PurificationSimulator>(
-          purification_rounds(design));
-  }
-  throw std::invalid_argument("unknown NetworkDesign");
 }
 
 }  // namespace surfnet::netsim

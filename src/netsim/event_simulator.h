@@ -1,73 +1,47 @@
 #pragma once
 
-// Event-driven simulation engine for surface-code transfers.
+// The surface-code simulation loop and its two visit policies.
 //
-// simulate_surfnet_event() computes the same function as
-// simulate_surfnet() — bitwise-identical SimulationResult, obs::Sink
-// events, "sim.*" metrics, and RNG stream — but its cost is proportional
-// to *activity* instead of `slots × topology`. The engine keeps a
-// deterministic pending-event queue (netsim/event_queue.h) of slots at
-// which something can happen: scripted fault onsets/expiries, request
-// launches and timeouts, retry/backoff timers, entanglement-readiness
-// thresholds, and generic code wake-ups. Slots with no pending event are
-// skipped; skipped slots are provably draw-free and trace-free, and their
-// entanglement gains are applied in closed form (see DESIGN.md §"Event
-// engine"), so idle fibers and quiescent codes cost nothing.
+// simulate_surfnet() (netsim/simulator.h, defined in event_simulator.cpp)
+// is one deterministic event loop over discrete time slots. It keeps a
+// pending-event queue (netsim/event_queue.h) of slots at which something
+// can happen: scripted fault onsets/expiries, request launches and
+// timeouts, retry/backoff timers, entanglement-readiness thresholds, and
+// generic code wake-ups. SimEngine chooses which slots the loop visits:
 //
-// When a run cannot skip safely — an attached obs::Sink observes every
-// slot, stochastic fault processes draw every slot, several requests
-// contend through the per-slot service shuffle, or a fractional base rate
-// draws one Bernoulli per fiber per slot — the engine degrades to visiting
-// every slot. Visited slots execute the exact slot-engine phase sequence
-// (shared code in netsim/sim_internal.h), so equivalence never depends on
-// which mode a run lands in.
+//   Event — cost proportional to *activity* instead of
+//           `slots × topology`: slots with no pending event are skipped
+//           and per-fiber entanglement pools are materialized lazily.
+//           Skipped slots are provably draw-free and trace-free, and their
+//           gains are applied in closed form (see DESIGN.md §"Event
+//           engine"), so idle fibers and quiescent codes cost nothing.
+//   Slot  — every slot is visited and every pool is advanced eagerly:
+//           the dense differential oracle for Event.
+//
+// Under Event the loop still visits every slot whenever it cannot skip
+// safely — an attached obs::Sink observes every slot, stochastic fault
+// processes draw every slot, several requests contend through the
+// per-slot service shuffle, or a fractional base rate draws one Bernoulli
+// per fiber per slot. A visited slot runs the same phase sequence under
+// both policies, so the SimulationResult, obs::Sink events, "sim.*"
+// metrics and RNG stream are bitwise-identical; the only difference is
+// that Event reports its own "sim.event_*" visit/skip/queue metrics.
+// run_traffic() (netsim/workload.h) takes the same selector for its
+// arrival/departure stream.
 
-#include <memory>
+#include <cstdint>
 #include <string_view>
-
-#include "decoder/decoder.h"
-#include "netsim/simulator.h"
 
 namespace surfnet::netsim {
 
-/// Which simulation engine executes a run. Both compute the identical
-/// function; Event is asymptotically cheaper on sparse/idle workloads.
+/// Which slots the surface-code loop visits. Both policies compute the
+/// identical function; Event is asymptotically cheaper on sparse/idle
+/// workloads.
 enum class SimEngine : std::uint8_t {
-  Slot,   ///< dense per-slot sweep (the differential oracle)
-  Event,  ///< deterministic event queue, activity-proportional
+  Slot,   ///< every slot, eager pools (the differential oracle)
+  Event,  ///< skip and lazy pools wherever provable
 };
 
 std::string_view to_string(SimEngine engine);
-
-/// Event-driven equivalent of simulate_surfnet().
-SimulationResult simulate_surfnet_event(const Topology& topology,
-                                        const Schedule& schedule,
-                                        const SimulationParams& params,
-                                        const decoder::Decoder& decoder,
-                                        util::Rng& rng);
-
-/// Surface-code transfer on the event engine. Drop-in for
-/// SurfNetSimulator; name() distinguishes the engines in reports.
-class EventSurfNetSimulator final : public Simulator {
- public:
-  explicit EventSurfNetSimulator(const decoder::Decoder& decoder)
-      : decoder_(&decoder) {}
-  SimulationResult run(const Topology& topology, const Schedule& schedule,
-                       const SimulationParams& params,
-                       util::Rng& rng) const override {
-    return simulate_surfnet_event(topology, schedule, params, *decoder_, rng);
-  }
-  std::string_view name() const override { return "surfnet-event"; }
-
- private:
-  const decoder::Decoder* decoder_;
-};
-
-/// Engine-selecting factory. Purification designs have no event engine
-/// (their per-slot loop is already cheap and pair-pool-bound); they get
-/// the slot-based PurificationSimulator under either engine choice.
-std::unique_ptr<Simulator> make_simulator(NetworkDesign design,
-                                          const decoder::Decoder& decoder,
-                                          SimEngine engine);
 
 }  // namespace surfnet::netsim

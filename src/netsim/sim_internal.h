@@ -1,17 +1,12 @@
 #pragma once
 
-// Internal machinery shared by the two surface-code simulation engines
-// (the slot engine in simulator.cpp and the event engine in
-// event_simulator.cpp). NOT part of the public netsim API — include only
-// from netsim/*.cpp and tests that deliberately reach into engine
-// internals.
+// Internal machinery of the simulation loops: the surface-code loop in
+// event_simulator.cpp and the purification loop in simulator.cpp. NOT
+// part of the public netsim API — include only from netsim/*.cpp.
 //
-// Everything here is engine-agnostic: static request validation, the
+// Everything here is policy-agnostic: static request validation, the
 // in-flight code state, the decode/correction step, the recovery actions,
-// and the entanglement-rate buckets. Both engines instantiate
-// process_code() for their per-slot per-code work, so the scheduling
-// layers can differ while the observable behavior of one processed code —
-// including its RNG draw order and its sink events — cannot diverge.
+// the entanglement-rate buckets and the per-slot pool snapshot.
 
 #include <algorithm>
 #include <cmath>
@@ -296,8 +291,8 @@ class EntanglementRates {
                        : base_rate_;
   }
 
-  /// Advance every pool by one slot of generation (the per-slot sweep of
-  /// the slot engine). Bitwise-identical to the historical per-slot loop.
+  /// Advance every pool by one slot of generation (the eager per-slot
+  /// sweep). Bitwise-identical to the historical per-slot loop.
   void advance(std::vector<int>& pairs, const FaultInjector& injector,
                int slot, util::Rng& rng) const {
     if (!degradable_ && base_frac_ <= 0.0) {
@@ -336,216 +331,5 @@ inline void emit_pool_snapshot(const std::vector<int>& pairs, int slot,
     sink.metrics->observe("sim.pool_total", total, pool_bounds());
   if (sink.trace) sink.trace->record(obs::Event::pool(slot, total, min_level));
 }
-
-/// What one process_code() invocation did to the code.
-enum class CodeStep {
-  InFlight,  ///< still active next slot
-  Finished,  ///< delivered or timed out; a CodeRecord was appended
-};
-
-/// Side facts the event engine needs for its wake computation; the slot
-/// engine passes nullptr. Recording these changes no behavior.
-struct StepFlags {
-  bool support_reroute_failed = false;  ///< blocked + local recovery failed
-  bool core_reroute_failed = false;
-};
-
-/// One code's work in one slot: the exact per-code body of the slot
-/// engine's service loop (timeout budget, cooldown, Support hop, Core
-/// segment jump, barrier decode). `Pool` provides `int level(int fiber)`
-/// and `void consume(int fiber, int n)` over the prepared-pair inventory;
-/// both engines instantiate this template, so per-code behavior — RNG
-/// draw order included — cannot diverge between them.
-template <typename Pool>
-CodeStep process_code(const Topology& topology, const FaultInjector& injector,
-                      const RecoveryPolicy& policy,
-                      const SimulationParams& params,
-                      const decoder::Decoder& decoder, const RequestPlan& plan,
-                      ActiveCode& code, int slot, Pool& pool,
-                      SimulationResult& result, util::Rng& rng,
-                      StepFlags* flags = nullptr) {
-  const obs::Sink& sink = params.sink;
-  // Per-code timeout budget: a starved code is abandoned individually
-  // instead of pinning its request to the end of the run.
-  if (policy.code_timeout_slots > 0 &&
-      slot - code.start_slot >= policy.code_timeout_slots) {
-    const int slots = slot - code.start_slot;
-    result.codes.push_back({plan.sched->request_index, slots, code.corrections,
-                            CodeOutcome::TimedOut});
-    if (sink.metrics) sink.metrics->count("sim.timeouts");
-    if (sink.trace)
-      sink.trace->record(
-          obs::Event::timeout(slot, plan.sched->request_index, slots));
-    return CodeStep::Finished;
-  }
-  if (code.cooldown > 0) {
-    --code.cooldown;
-    return CodeStep::InFlight;
-  }
-  const auto& barrier = plan.barriers[static_cast<std::size_t>(code.barrier)];
-
-  // Plain channel: the Support part advances one fiber per slot; a
-  // failed fiber or dead next node triggers a local recovery path (or
-  // the photons are held in error-mitigation circuits until the route
-  // heals).
-  if (code.s_pos < code.s_target) {
-    const int next = code.s_path[static_cast<std::size_t>(code.s_pos) + 1];
-    const int e = topology.fiber_between(
-        code.s_path[static_cast<std::size_t>(code.s_pos)], next);
-    if (!injector.fiber_down(e, slot) && !injector.node_down(next, slot)) {
-      ++code.s_pos;
-      code.acc_support_mu += topology.fiber_noise(e);
-      ++code.acc_support_hops;
-    } else if (policy.local_reroute) {
-      if (local_reroute(topology, injector, slot, code.s_path, code.s_pos,
-                        barrier.node)) {
-        code.s_target = find_on_path(code.s_path, barrier.node, code.s_pos);
-        code.failed_reroutes = 0;
-        if (sink.metrics) sink.metrics->count("sim.recoveries");
-        if (sink.trace)
-          sink.trace->record(obs::Event::recovery(
-              slot, plan.sched->request_index, /*core_channel=*/false));
-      } else {
-        reroute_failed(topology, injector, policy, sink, plan, code,
-                       /*core_channel=*/false, slot);
-        if (flags) flags->support_reroute_failed = true;
-      }
-    }
-  }
-
-  // Entanglement-based channel: opportunistic movement over up to
-  // `opportunistic_segment` fibers once every fiber of the segment is
-  // alive and holds enough prepared pairs.
-  if (!plan.raw && code.c_pos < code.c_target) {
-    const int n_core = plan.geometry->partition.num_core;
-    const int remaining = code.c_target - code.c_pos;
-    const int segment = std::min(params.opportunistic_segment, remaining);
-    bool ready = true;
-    bool broken = false;
-    for (int h = 0; h < segment; ++h) {
-      const int e = topology.fiber_between(
-          code.c_path[static_cast<std::size_t>(code.c_pos + h)],
-          code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)]);
-      if (injector.fiber_down(e, slot) ||
-          injector.node_down(
-              code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)], slot))
-        broken = true;
-      if (pool.level(e) < n_core) ready = false;
-    }
-    if (broken) {
-      if (policy.local_reroute) {
-        if (local_reroute(topology, injector, slot, code.c_path, code.c_pos,
-                          barrier.node)) {
-          code.c_target = find_on_path(code.c_path, barrier.node, code.c_pos);
-          code.failed_reroutes = 0;
-          if (sink.metrics) sink.metrics->count("sim.recoveries");
-          if (sink.trace)
-            sink.trace->record(obs::Event::recovery(
-                slot, plan.sched->request_index, /*core_channel=*/true));
-        } else {
-          reroute_failed(topology, injector, policy, sink, plan, code,
-                         /*core_channel=*/true, slot);
-          if (flags) flags->core_reroute_failed = true;
-        }
-      }
-    } else if (ready) {
-      double segment_mu = 0.0;
-      for (int h = 0; h < segment; ++h) {
-        const int e = topology.fiber_between(
-            code.c_path[static_cast<std::size_t>(code.c_pos + h)],
-            code.c_path[static_cast<std::size_t>(code.c_pos + h + 1)]);
-        pool.consume(e, n_core);
-        segment_mu += topology.fiber_noise(e);
-      }
-      // Entanglement swapping and teleportation are probabilistic; a
-      // failed attempt wastes the consumed pairs.
-      const bool success =
-          params.swap_success >= 1.0 ||
-          rng.bernoulli(std::pow(params.swap_success, segment));
-      if (sink.metrics) {
-        sink.metrics->count("sim.segment_jumps");
-        if (!success) sink.metrics->count("sim.segment_jump_failures");
-      }
-      if (sink.trace)
-        sink.trace->record(obs::Event::segment_jump(
-            slot, plan.sched->request_index,
-            code.c_path[static_cast<std::size_t>(code.c_pos)],
-            code.c_path[static_cast<std::size_t>(code.c_pos + segment)],
-            segment, success));
-      if (success) {
-        code.c_pos += segment;
-        code.acc_core_mu += segment_mu;
-        ++code.jumps_since_ec;
-        code.swap_attempts = 0;
-      } else if (policy.max_swap_retries > 0) {
-        // Bounded retries: back off exponentially instead of hammering
-        // the starved pools; past the budget, escalate to a full
-        // re-route.
-        ++code.swap_attempts;
-        if (code.swap_attempts > policy.max_swap_retries) {
-          escalate(topology, injector, sink, plan, code,
-                   /*core_channel=*/true, slot);
-          code.swap_attempts = 0;
-        } else {
-          const int backoff = policy.backoff_slots(code.swap_attempts);
-          code.cooldown = backoff;
-          if (sink.metrics) sink.metrics->count("sim.retries");
-          if (sink.trace)
-            sink.trace->record(obs::Event::retry(
-                slot, plan.sched->request_index, /*core_channel=*/true,
-                code.swap_attempts, backoff));
-        }
-      }
-    }
-  }
-
-  // Barrier reached by both parts: correct (or finally read out).
-  // Corrections wait while the barrier node is down or a decode-latency
-  // spike stalls the network's decoders.
-  const bool support_done = code.s_pos >= code.s_target;
-  const bool core_done = plan.raw || code.c_pos >= code.c_target;
-  if (support_done && core_done && !injector.node_down(barrier.node, slot) &&
-      !injector.decode_stalled(slot)) {
-    run_correction(plan, code, slot, barrier.node, barrier.is_ec, params,
-                   decoder, rng);
-    const bool final_barrier =
-        code.barrier + 1 == static_cast<int>(plan.barriers.size());
-    if (final_barrier) {
-      ++result.codes_delivered;
-      if (!code.corrupted) ++result.codes_succeeded;
-      const int slots = slot - code.start_slot + 1;
-      result.total_latency += slots;
-      result.codes.push_back({plan.sched->request_index, slots,
-                              code.corrections,
-                              code.corrupted ? CodeOutcome::LogicalError
-                                             : CodeOutcome::Succeeded});
-      if (sink.metrics) {
-        sink.metrics->count("sim.delivered");
-        if (!code.corrupted) sink.metrics->count("sim.succeeded");
-        sink.metrics->observe("sim.latency_slots", slots, latency_bounds());
-      }
-      if (sink.trace)
-        sink.trace->record(obs::Event::delivered(
-            slot, plan.sched->request_index, slots, code.corrections,
-            code.corrupted));
-      return CodeStep::Finished;
-    }
-    ++code.barrier;
-    retarget(plan, code);
-    code.cooldown = 1;  // the EC circuit occupies one slot
-  }
-  return CodeStep::InFlight;
-}
-
-/// Pool adapter over the slot engine's plain per-fiber vector.
-struct VectorPool {
-  std::vector<int>& pairs;
-  int level(int fiber) const {
-    return pairs[static_cast<std::size_t>(fiber)];
-  }
-  void consume(int fiber, int n) {
-    pairs[static_cast<std::size_t>(fiber)] -= n;
-  }
-};
 
 }  // namespace surfnet::netsim::detail

@@ -47,6 +47,7 @@
 
 #include "decoder/decoder.h"
 #include "netsim/entanglement.h"
+#include "netsim/event_simulator.h"
 #include "netsim/faults.h"
 #include "netsim/recovery.h"
 #include "netsim/schedule.h"
@@ -155,12 +156,14 @@ struct SimulationResult {
 
 /// Simulate a SurfNet (or Raw, when a request's core_path is empty)
 /// schedule. Raw requests send every qubit through the plain channel and
-/// consume no entanglement.
+/// consume no entanglement. `engine` picks the loop's visit policy
+/// (netsim/event_simulator.h); both give bitwise-equal runs.
 SimulationResult simulate_surfnet(const Topology& topology,
                                   const Schedule& schedule,
                                   const SimulationParams& params,
                                   const decoder::Decoder& decoder,
-                                  util::Rng& rng);
+                                  util::Rng& rng,
+                                  SimEngine engine = SimEngine::Event);
 
 /// Simulate a purification-based network (paper's "Purification N=1,2,9"
 /// benchmarks): each message is a bare qubit teleported hop by hop, each
@@ -184,21 +187,25 @@ class Simulator {
   virtual std::string_view name() const = 0;
 };
 
-/// Surface-code transfer (SurfNet and Raw designs). The decoder is
-/// borrowed and must outlive the simulator.
+/// Surface-code transfer (SurfNet and Raw designs) under one visit
+/// policy. The decoder is borrowed and must outlive the simulator.
 class SurfNetSimulator final : public Simulator {
  public:
-  explicit SurfNetSimulator(const decoder::Decoder& decoder)
-      : decoder_(&decoder) {}
+  SurfNetSimulator(const decoder::Decoder& decoder, SimEngine engine)
+      : decoder_(&decoder), engine_(engine) {}
   SimulationResult run(const Topology& topology, const Schedule& schedule,
                        const SimulationParams& params,
                        util::Rng& rng) const override {
-    return simulate_surfnet(topology, schedule, params, *decoder_, rng);
+    return simulate_surfnet(topology, schedule, params, *decoder_, rng,
+                            engine_);
   }
-  std::string_view name() const override { return "surfnet"; }
+  std::string_view name() const override {
+    return engine_ == SimEngine::Event ? "surfnet-event" : "surfnet";
+  }
 
  private:
   const decoder::Decoder* decoder_;
+  SimEngine engine_;
 };
 
 /// Hop-by-hop teleportation of bare qubits over purified pairs
@@ -222,7 +229,10 @@ class PurificationSimulator final : public Simulator {
 
 /// The simulator a network design executes on. The decoder is borrowed by
 /// the surface-code designs (SurfNet, Raw) and ignored by the rest.
+/// `engine` is the surface-code visit policy; purification has a single
+/// per-slot loop (already pair-pool-bound and cheap) under either choice.
 std::unique_ptr<Simulator> make_simulator(NetworkDesign design,
-                                          const decoder::Decoder& decoder);
+                                          const decoder::Decoder& decoder,
+                                          SimEngine engine = SimEngine::Event);
 
 }  // namespace surfnet::netsim

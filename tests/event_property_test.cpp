@@ -1,5 +1,5 @@
-// Extended differential campaign: the event engine must reproduce the
-// slot oracle bitwise — SimulationResult, trace, and post-run RNG stream —
+// Extended differential campaign: the Event visit policy must reproduce
+// the Slot oracle bitwise — SimulationResult, trace, and post-run RNG stream —
 // across randomized fault plans, recovery policies, entanglement rates
 // (integral and fractional), schedules, and observation modes. Each
 // failing case prints a SURFNET_PROP_SEED that replays it in isolation.
@@ -167,7 +167,7 @@ RunOutput run_engine(SimEngine engine, const Topology& topo,
 }
 
 // P: for any (schedule, fault plan, policy, rate, seed, observation mode),
-// both engines produce the same result, trace, and RNG stream.
+// both visit policies produce the same result, trace, and RNG stream.
 TEST(EventEngineProperty, MatchesSlotOracleBitwise) {
   const auto topo = ring_topology();
   proptest::Config config;

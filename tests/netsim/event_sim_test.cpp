@@ -1,8 +1,9 @@
-// Differential tests for the event-driven engine: simulate_surfnet_event
-// must reproduce simulate_surfnet bitwise — SimulationResult, JSONL trace,
-// metrics document (modulo the engine's own "sim.event_*" keys), and the
-// RNG stream (verified by comparing draws *after* the runs) — plus unit
-// tests for the deterministic event queue itself. The heavy randomized
+// Differential tests for the surface-code loop's visit policies: Event
+// (skips, lazy pools) must reproduce the Slot oracle (every slot, eager
+// pools) bitwise — SimulationResult, JSONL trace, metrics document (modulo
+// Event's own "sim.event_*" keys), and the RNG stream (verified by
+// comparing draws *after* the runs) — plus unit tests for the
+// deterministic event queue itself. The heavy randomized
 // matrix lives in tests/event_property_test.cpp (extended label).
 
 #include <gtest/gtest.h>
@@ -63,24 +64,6 @@ TEST(EventQueue, TracksPeakAndPushCount) {
   EXPECT_EQ(queue.size(), 2u);
 }
 
-TEST(EventEngine, NamesAndFallbacks) {
-  EXPECT_EQ(to_string(SimEngine::Slot), "slot");
-  EXPECT_EQ(to_string(SimEngine::Event), "event");
-  EXPECT_EQ(to_string(EventClass::FaultOnset), "fault_onset");
-  EXPECT_EQ(to_string(EventClass::EntanglementReady), "entanglement_ready");
-  const decoder::SurfNetDecoder dec;
-  EXPECT_EQ(make_simulator(NetworkDesign::SurfNet, dec, SimEngine::Event)
-                ->name(),
-            "surfnet-event");
-  EXPECT_EQ(make_simulator(NetworkDesign::Raw, dec, SimEngine::Slot)->name(),
-            "surfnet");
-  // Purification has no event engine: both selections run the slot loop.
-  EXPECT_EQ(
-      make_simulator(NetworkDesign::Purification2, dec, SimEngine::Event)
-          ->name(),
-      "purification");
-}
-
 // --------------------------------------------------- differential rigs --
 
 /// Ring: user(0) - sw(1) - server(2) - sw(3) - user(4), plus bypass sw(5)
@@ -135,7 +118,7 @@ std::string without_timers(std::string json) {
   return json.erase(begin, end - begin + 1);
 }
 
-/// Drop the event engine's own observability keys ("sim.event_*": queue
+/// Drop the Event policy's own observability keys ("sim.event_*": queue
 /// peak and visit/skip counters) — the documented, deliberate metric
 /// difference between the engines. Everything else must match bitwise.
 std::string without_event_engine_keys(std::string json) {
@@ -192,6 +175,41 @@ void expect_bitwise(const Topology& topo, const Schedule& schedule,
   EXPECT_EQ(slot.trace, event.trace) << label << ": trace";
   EXPECT_EQ(slot.metrics, event.metrics) << label << ": metrics";
   EXPECT_EQ(slot.rng_tail, event.rng_tail) << label << ": RNG stream";
+}
+
+TEST(EventEngine, NamesAndFallbacks) {
+  EXPECT_EQ(to_string(SimEngine::Slot), "slot");
+  EXPECT_EQ(to_string(SimEngine::Event), "event");
+  EXPECT_EQ(to_string(EventClass::FaultOnset), "fault_onset");
+  EXPECT_EQ(to_string(EventClass::EntanglementReady), "entanglement_ready");
+  const decoder::SurfNetDecoder dec;
+  EXPECT_EQ(make_simulator(NetworkDesign::SurfNet, dec, SimEngine::Event)
+                ->name(),
+            "surfnet-event");
+  EXPECT_EQ(make_simulator(NetworkDesign::Raw, dec, SimEngine::Slot)->name(),
+            "surfnet");
+  // Purification has one per-slot loop under either selection.
+  EXPECT_EQ(
+      make_simulator(NetworkDesign::Purification2, dec, SimEngine::Event)
+          ->name(),
+      "purification");
+
+  // With no engine argument, the factory and simulate_surfnet both run
+  // Event: only Event reports its "sim.event_*" visit counters.
+  EXPECT_EQ(make_simulator(NetworkDesign::SurfNet, dec)->name(),
+            "surfnet-event");
+  const Topology topo = ring_topology();
+  obs::MetricsRegistry by_default, by_slot;
+  SimulationParams params;
+  params.sink.metrics = &by_default;
+  util::Rng rng_default(3);
+  simulate_surfnet(topo, one_request(1, true), params, dec, rng_default);
+  params.sink.metrics = &by_slot;
+  util::Rng rng_slot(3);
+  simulate_surfnet(topo, one_request(1, true), params, dec, rng_slot,
+                   SimEngine::Slot);
+  EXPECT_GT(by_default.counter("sim.event_slots_visited"), 0);
+  EXPECT_EQ(by_slot.counter("sim.event_slots_visited"), 0);
 }
 
 // ------------------------------------------------------- differentials --
@@ -276,38 +294,40 @@ TEST(EventEngineDifferential, HeldWithoutRecoveryBitwise) {
 }
 
 TEST(EventEngineDifferential, EnginesAgreeThroughRunTrials) {
-  // Facade-level check: core::run_trials with engine = Slot vs Event over
-  // a chaotic multi-request scenario — merged trace, merged metrics
-  // (modulo sim.event_*), identical RNG seeding per trial.
-  auto params = core::make_scenario(core::FacilityLevel::Sufficient,
-                                    core::ConnectionQuality::Poor);
-  params.simulation.faults.stochastic.correlated_cut_rate = 0.01;
-  params.simulation.faults.stochastic.node_outage_rate = 0.002;
-  params.simulation.faults.stochastic.degradation_rate = 0.01;
-  params.simulation.faults.stochastic.degradation_factor = 0.4;
-  params.simulation.swap_success = 0.85;
-  params.simulation.recovery = RecoveryPolicy::aggressive();
+  // Facade-level check: core::run_trials always runs the Event policy. An
+  // attached sink forces the Slot visit pattern (every slot, eager pools);
+  // without one, Event skips idle slots and draws pools lazily. Over a
+  // chaotic multi-request scenario and a calm one, the aggregates of the
+  // two paths must agree bitwise.
+  auto chaotic = core::make_scenario(core::FacilityLevel::Sufficient,
+                                     core::ConnectionQuality::Poor);
+  chaotic.simulation.faults.stochastic.correlated_cut_rate = 0.01;
+  chaotic.simulation.faults.stochastic.node_outage_rate = 0.002;
+  chaotic.simulation.faults.stochastic.degradation_rate = 0.01;
+  chaotic.simulation.faults.stochastic.degradation_factor = 0.4;
+  chaotic.simulation.swap_success = 0.85;
+  chaotic.simulation.recovery = RecoveryPolicy::aggressive();
+  const auto calm = core::make_scenario(core::FacilityLevel::Sufficient,
+                                        core::ConnectionQuality::Good);
 
-  auto run = [&](core::SimEngine engine) {
+  auto run = [](const core::ScenarioParams& params, bool observed) {
     obs::TraceBuffer trace;
     obs::MetricsRegistry metrics;
     core::RunOptions options;
     options.seed = 20240806;
-    options.engine = engine;
-    options.sink = {&metrics, &trace};
+    if (observed) options.sink = {&metrics, &trace};
     const auto agg =
         core::run_trials(params, core::NetworkDesign::SurfNet, 4, options);
+    EXPECT_EQ(observed, !trace.events().empty());
     std::ostringstream summary;
-    summary << agg.fidelity.mean() << ' ' << agg.latency.mean() << ' '
+    summary.precision(17);
+    summary << agg.fidelity.count() << ' ' << agg.fidelity.mean() << ' '
+            << agg.latency.mean() << ' ' << agg.throughput.count() << ' '
             << agg.throughput.mean();
-    return std::make_pair(
-        jsonl_of(trace) + summary.str(),
-        without_event_engine_keys(without_timers(metrics.to_json())));
+    return summary.str();
   };
-  const auto slot = run(core::SimEngine::Slot);
-  const auto event = run(core::SimEngine::Event);
-  EXPECT_EQ(slot.first, event.first);
-  EXPECT_EQ(slot.second, event.second);
+  EXPECT_EQ(run(chaotic, true), run(chaotic, false));
+  EXPECT_EQ(run(calm, true), run(calm, false));
 }
 
 }  // namespace

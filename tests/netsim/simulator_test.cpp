@@ -280,8 +280,9 @@ TEST(Simulator, InterfaceSelectsModelByDesign) {
   const auto surfnet = make_simulator(NetworkDesign::SurfNet, dec);
   const auto raw = make_simulator(NetworkDesign::Raw, dec);
   const auto p2 = make_simulator(NetworkDesign::Purification2, dec);
-  EXPECT_EQ(surfnet->name(), "surfnet");
-  EXPECT_EQ(raw->name(), "surfnet");  // Raw shares the surface-code model
+  // The default visit policy is Event; Raw shares the surface-code model.
+  EXPECT_EQ(surfnet->name(), "surfnet-event");
+  EXPECT_EQ(raw->name(), "surfnet-event");
   EXPECT_EQ(p2->name(), "purification");
 
   // Polymorphic run matches the free function it wraps.

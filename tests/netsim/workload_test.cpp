@@ -338,12 +338,11 @@ struct BatchRun {
   double blocking = 0.0;
 };
 
-BatchRun run_batch(int threads, SimEngine engine) {
+BatchRun run_batch(int threads) {
   obs::TraceBuffer trace;
   obs::MetricsRegistry metrics;
   core::RunOptions options;
   options.threads = threads;
-  options.engine = engine;
   options.sink = obs::Sink{&metrics, &trace};
   const auto aggregate = core::run_trials(small_scenario(), 6, options);
   BatchRun run;
@@ -355,8 +354,8 @@ BatchRun run_batch(int threads, SimEngine engine) {
 }
 
 TEST(Workload, TrafficTrialsAreThreadCountInvariant) {
-  const auto one = run_batch(1, SimEngine::Event);
-  const auto eight = run_batch(8, SimEngine::Event);
+  const auto one = run_batch(1);
+  const auto eight = run_batch(8);
   EXPECT_EQ(one.trace, eight.trace);
   EXPECT_EQ(one.metrics, eight.metrics);
   EXPECT_EQ(one.admitted_per_slot, eight.admitted_per_slot);
@@ -365,10 +364,33 @@ TEST(Workload, TrafficTrialsAreThreadCountInvariant) {
 }
 
 TEST(Workload, TrafficTrialsAreEngineInvariant) {
-  const auto event = run_batch(1, SimEngine::Event);
-  const auto slot = run_batch(1, SimEngine::Slot);
-  EXPECT_EQ(event.trace, slot.trace);
-  EXPECT_EQ(event.metrics, slot.metrics);
+  // core::run_traffic_trial runs the Event policy; the same trial rebuilt
+  // from its public pieces on the Slot policy must replay bitwise.
+  const auto scenario = small_scenario();
+  util::Rng seeder(20240607);
+  for (int trial = 0; trial < 3; ++trial) {
+    const std::uint64_t seed = seeder();
+    obs::TraceBuffer event_trace, slot_trace;
+    obs::MetricsRegistry event_metrics, slot_metrics;
+    const auto event = core::run_traffic_trial(
+        scenario, seed, obs::Sink{&event_metrics, &event_trace});
+
+    const obs::Sink sink{&slot_metrics, &slot_trace};
+    util::Rng rng(seed);
+    const auto topology = make_random_topology(scenario.topology, rng);
+    routing::RoutingParams routing = scenario.routing;
+    routing.sink = sink;
+    routing::IncrementalRouter provider(topology, routing);
+    WorkloadParams workload = scenario.workload;
+    workload.sink = sink;
+    const auto slot =
+        run_traffic(topology, provider, workload, rng, SimEngine::Slot);
+
+    expect_results_equal(event, slot);
+    EXPECT_EQ(jsonl_of(event_trace), jsonl_of(slot_trace));
+    EXPECT_EQ(without_timers(event_metrics), without_timers(slot_metrics));
+    EXPECT_GT(slot.arrivals, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -525,7 +547,6 @@ TEST(Workload, AdaptiveTrafficIsThreadCountInvariant) {
     obs::MetricsRegistry metrics;
     core::RunOptions options;
     options.threads = threads;
-    options.engine = SimEngine::Event;
     options.sink = obs::Sink{&metrics, &trace};
     auto scenario = small_scenario();
     scenario.routing.adaptive_code_distance = true;

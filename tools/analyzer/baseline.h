@@ -1,12 +1,11 @@
 #pragma once
 
-// Suppression baseline: the committed debt ledger. Each entry pins one
-// finding by (rule, file, key) — never by line, so entries survive
-// unrelated edits — and must say WHY the finding is acceptable. A baseline
-// match suppresses the finding; an entry that matches nothing is reported
-// so the ledger shrinks as debt is paid. Prefer fixing over baselining;
-// prefer a baseline entry (reviewed, central, justified) over a
-// `lint: allow` comment (file-wide, easy to forget).
+// Suppression baseline: the committed debt ledger and the analyzer's only
+// suppression path. Each entry pins one finding by (rule, file, key) —
+// never by line, so entries survive unrelated edits — and must say WHY
+// the finding is acceptable. A baseline match suppresses the finding; an
+// entry that matches nothing is reported so the ledger shrinks as debt is
+// paid. Prefer fixing over baselining.
 
 #include <string>
 #include <vector>

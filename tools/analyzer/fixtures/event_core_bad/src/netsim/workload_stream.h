@@ -7,8 +7,6 @@ namespace fx {
 struct Stream {
   std::unordered_multimap<int, int> by_slot;
   std::unordered_multiset<int> live;
-  long now() const { return clock.time(); }
-  struct { long time() const { return 0; } } clock;
 };
 
 }  // namespace fx

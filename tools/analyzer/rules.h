@@ -85,8 +85,8 @@ void rule_contracts(const AnalyzerContext& ctx, std::vector<Finding>& out);
 /// wallclock-seeding, stdio-in-src, header-hygiene and event-core-purity.
 void rule_hygiene(const AnalyzerContext& ctx, std::vector<Finding>& out);
 
-/// Run every rule and return the findings sorted (file, line, rule, key),
-/// with `lint: allow(<rule>)` file-level suppressions already applied.
+/// Run every rule and return the findings sorted (file, line, rule, key).
+/// Suppression is the baseline's job (baseline.h), not the rules'.
 std::vector<Finding> run_rules(const AnalyzerContext& ctx);
 
 }  // namespace surfnet::analyze

@@ -94,12 +94,21 @@ enum class Shape {
   StdName,      ///< `std::name`
   StdCall,      ///< `std::name(`
   Call,         ///< `name(`, however qualified
-  CCall,        ///< the C function: `name(` or `std::name(`, not
-                ///< `other::name(`
-  NullaryCall,  ///< unqualified `name()`, `name(0)`, `name(NULL)`,
-                ///< `name(nullptr)`
+  CCall,        ///< the C function: `name(`, `::name(` or `std::name(`;
+                ///< not `other::name(`, a member call or a declaration
+  NullaryCall,  ///< CCall without `std::`, with `()`, `(0)`, `(NULL)` or
+                ///< `(nullptr)` as its arguments
   StdoutCall,   ///< `name(stdout`
 };
+
+/// Identifiers that may directly precede a call expression; any other
+/// identifier before `name(` makes it a declaration (`long time() const`).
+bool starts_expression(const std::string& word) {
+  for (const char* kw : {"return", "case", "throw", "else", "do",
+                         "co_return", "co_yield"})
+    if (word == kw) return true;
+  return false;
+}
 
 struct Pattern {
   const char* key;   ///< finding key and message subject
@@ -157,17 +166,29 @@ bool matches(const std::vector<Token>& t, std::size_t i, const Pattern& p) {
   if (!ident_at(i, p.name)) return false;
   const bool qualified = i >= 1 && is_punct(t[i - 1], "::");
   const bool std_qualified = qualified && i >= 2 && ident_at(i - 2, "std");
+  // `::name(`: the `::` follows no scope name (`return ::time(0)`).
+  const bool global =
+      qualified && (i < 2 || (t[i - 2].kind == TokKind::Ident
+                         ? starts_expression(t[i - 2].text)
+                         : !is_punct(t[i - 2], ">")));
   const bool call = punct_at(i + 1, "(");
+  const bool member =
+      i >= 1 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
+  // In a re-lexed `#define NAME body`, NAME is not a declarator.
+  const bool declaration = i >= 1 && t[i - 1].kind == TokKind::Ident &&
+                           !starts_expression(t[i - 1].text) &&
+                           !(i >= 2 && ident_at(i - 2, "define"));
+  const bool c_call = call && !member && !declaration;
   switch (p.shape) {
     case Shape::Name: return true;
     case Shape::Include: return false;
     case Shape::StdName: return std_qualified;
     case Shape::StdCall: return std_qualified && call;
     case Shape::Call: return call;
-    case Shape::CCall: return call && (!qualified || std_qualified);
+    case Shape::CCall: return c_call && (!qualified || global || std_qualified);
     case Shape::StdoutCall: return call && ident_at(i + 2, "stdout");
     case Shape::NullaryCall: {
-      if (!call || qualified) return false;
+      if (!c_call || (qualified && !global)) return false;
       const bool null_arg =
           ident_at(i + 2, "NULL") || ident_at(i + 2, "nullptr") ||
           (i + 2 < t.size() && t[i + 2].kind == TokKind::Number &&
@@ -269,25 +290,14 @@ std::vector<Finding> run_rules(const AnalyzerContext& ctx) {
   rule_contracts(ctx, findings);
   rule_hygiene(ctx, findings);
 
-  // File-level suppression: a `lint: allow(<rule>)` marker anywhere in a
-  // file drops that rule's findings for the whole file.
-  std::map<std::string, const FileModel*> by_rel;
-  for (const FileModel& f : ctx.files) by_rel[f.rel_path] = &f;
-  std::vector<Finding> kept;
-  for (Finding& finding : findings) {
-    auto it = by_rel.find(finding.file);
-    if (it != by_rel.end() && it->second->allowed_rules.count(finding.rule))
-      continue;
-    kept.push_back(std::move(finding));
-  }
-  std::sort(kept.begin(), kept.end());
-  kept.erase(std::unique(kept.begin(), kept.end(),
-                         [](const Finding& a, const Finding& b) {
-                           return a.file == b.file && a.line == b.line &&
-                                  a.rule == b.rule && a.key == b.key;
-                         }),
-             kept.end());
-  return kept;
+  std::sort(findings.begin(), findings.end());
+  findings.erase(std::unique(findings.begin(), findings.end(),
+                             [](const Finding& a, const Finding& b) {
+                               return a.file == b.file && a.line == b.line &&
+                                      a.rule == b.rule && a.key == b.key;
+                             }),
+                 findings.end());
+  return findings;
 }
 
 }  // namespace surfnet::analyze
