@@ -134,7 +134,8 @@ ScalingRow run_scaling_point(int grid, int num_requests, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("ablation_routing", argc, argv);
+  bench::ArgParser args("ablation_routing", argc, argv,
+                        bench::JsonOutput::Supported);
 
   // --- LP scaling sweep (always computed: it is the --json payload). ---
   // Dense budget per point: enough to finish the small points exactly and

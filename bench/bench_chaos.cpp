@@ -76,7 +76,8 @@ struct ChaosRow {
 int main(int argc, char** argv) {
   using namespace surfnet;
 
-  bench::ArgParser args("chaos", argc, argv);
+  bench::ArgParser args("chaos", argc, argv,
+                        bench::JsonOutput::Supported);
   const int trials = args.resolve_trials(60, 500);
   if (!args.json())
     std::printf("Chaos campaigns: correlated cuts, source degradation, node "

@@ -13,9 +13,11 @@
 // the bench's sink() then carries a live metrics registry and/or JSONL
 // trace writer (see src/obs/) that the engines under test report into.
 //
-// Machine-readable output (--json) uses one shared envelope across all
-// benches, so saved outputs can be compared generically
-// (scripts/bench_compare.py) and validated (--validate):
+// Machine-readable output (--json) uses one shared envelope across the
+// benches that offer it, so saved outputs can be compared generically
+// (scripts/bench_compare.py) and validated (--validate). A bench that
+// prints only a text table constructs its ArgParser without
+// JsonOutput::Supported and exits 2 with a named error on --json:
 //   {"bench": "<name>", "schema_version": 1, "results": [<records>...]}
 // where each record is a flat JSON object whose keys are stable per bench.
 
@@ -36,13 +38,19 @@ namespace surfnet::bench {
 /// Version of the shared --json envelope (bumped on breaking changes).
 inline constexpr int kJsonSchemaVersion = 1;
 
+/// Whether a bench can print the shared --json envelope.
+enum class JsonOutput { Unsupported, Supported };
+
 /// Command-line front end shared by every bench binary: parses the common
 /// flag set, owns the observability session, and prints the shared JSON
-/// envelope. Construction parses (and exits on --help or a bad flag).
+/// envelope. Construction parses (and exits on --help or a bad flag,
+/// including --json for a bench without JsonOutput::Supported).
 class ArgParser {
  public:
-  ArgParser(std::string bench_name, int argc, char** argv)
-      : bench_(std::move(bench_name)) {
+  ArgParser(std::string bench_name, int argc, char** argv,
+            JsonOutput json_output = JsonOutput::Unsupported)
+      : bench_(std::move(bench_name)),
+        json_supported_(json_output == JsonOutput::Supported) {
     std::string metrics_out;
     std::string trace_out;
     for (int i = 1; i < argc; ++i) {
@@ -65,6 +73,13 @@ class ArgParser {
       } else if (std::strcmp(argv[i], "--csv") == 0) {
         csv_ = true;
       } else if (std::strcmp(argv[i], "--json") == 0) {
+        if (!json_supported_) {
+          std::fprintf(stderr,
+                       "%s: --json is not supported: this bench prints "
+                       "only a text table\n",
+                       bench_.c_str());
+          std::exit(2);
+        }
         json_ = true;
       } else if (std::strcmp(argv[i], "--help") == 0) {
         print_usage(argv[0]);
@@ -115,7 +130,7 @@ class ArgParser {
   void print_usage(const char* argv0) const {
     std::printf(
         "usage: %s [--trials N] [--seed S] [--threads T] [--full] [--csv] "
-        "[--json] [--metrics-out FILE] [--trace-out FILE]\n"
+        "%s[--metrics-out FILE] [--trace-out FILE]\n"
         "  --trials N         Monte-Carlo trials per point (0 = bench "
         "default)\n"
         "  --seed S           base seed; results are thread-count invariant\n"
@@ -123,11 +138,14 @@ class ArgParser {
         "                     hardware threads\n"
         "  --full             paper-scale trial budget\n"
         "  --csv              CSV tables (benches that support it)\n"
-        "  --json             machine-readable envelope output\n"
+        "%s"
         "  --metrics-out FILE write the metrics JSON document ('-' = "
         "stdout)\n"
         "  --trace-out FILE   stream the JSONL event trace ('-' = stdout)\n",
-        argv0);
+        argv0, json_supported_ ? "[--json] " : "",
+        json_supported_
+            ? "  --json             machine-readable envelope output\n"
+            : "");
   }
 
   std::string bench_;
@@ -135,6 +153,7 @@ class ArgParser {
   std::uint64_t seed_ = 20240607;
   bool full_ = false;
   bool csv_ = false;
+  bool json_supported_;
   bool json_ = false;
   int threads_ = 1;  ///< worker threads for trial fan-out (resolved)
   std::unique_ptr<obs::FileSession> session_;

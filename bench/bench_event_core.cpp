@@ -136,7 +136,8 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("event_core", argc, argv);
+  bench::ArgParser args("event_core", argc, argv,
+                        bench::JsonOutput::Supported);
   const int trials = args.resolve_trials(3, 10);
   const decoder::SurfNetDecoder dec;
 

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   using core::FacilityLevel;
   using core::NetworkDesign;
 
-  bench::ArgParser args("fig6a", argc, argv);
+  bench::ArgParser args("fig6a", argc, argv,
+                        bench::JsonOutput::Supported);
   const int trials = args.resolve_trials(120, 1080);
   if (!args.json())
     std::printf(

@@ -183,7 +183,8 @@ WarmRow run_delta(int delta, std::uint64_t seed, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ArgParser args("traffic", argc, argv);
+  bench::ArgParser args("traffic", argc, argv,
+                        bench::JsonOutput::Supported);
   const int reps = args.resolve_trials(5, 20);
 
   if (!args.json())

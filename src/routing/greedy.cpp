@@ -1,11 +1,15 @@
 #include "routing/greedy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <queue>
 
 #include "netsim/channel.h"
+#include "obs/metrics.h"
 #include "routing/validate.h"
 #include "util/contracts.h"
 
@@ -152,52 +156,111 @@ void CapacityTracker::commit_split(const std::vector<int>& core_path,
 
 namespace {
 
-/// Dijkstra over nodes with remaining capacity, minimizing accumulated
-/// noise. Only the request's endpoints may be users.
-std::optional<std::vector<int>> min_noise_path(const Topology& topology,
-                                               const CapacityTracker& tracker,
-                                               const RoutingParams& params,
-                                               int src, int dst) {
-  const double node_demand = params.total_qubits();
-  const double pair_demand = params.core_qubits;
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(topology.num_nodes()),
-                           inf);
-  std::vector<int> parent(static_cast<std::size_t>(topology.num_nodes()), -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(src)] = 0.0;
-  heap.push({0.0, src});
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    if (u == dst) break;
-    for (int e : topology.incident(u)) {
-      const int v = topology.other_end(e, u);
-      // Only the destination user is enterable; transit nodes need storage.
-      if (v != dst) {
-        if (!topology.is_switch_or_server(v)) continue;
-        if (tracker.node_remaining(v) < node_demand) continue;
-      }
-      if (params.dual_channel &&
-          tracker.fiber_pairs_remaining(e) < pair_demand)
-        continue;
-      const double nd = d + topology.fiber_noise(e);
-      if (nd < dist[static_cast<std::size_t>(v)]) {
-        dist[static_cast<std::size_t>(v)] = nd;
-        parent[static_cast<std::size_t>(v)] = u;
-        heap.push({nd, v});
+/// State shared by the Dijkstra runs of one plan_code call: the fiber-noise
+/// memo (filled on first use, so std::log runs at most once per fiber per
+/// call), the per-run buffers, and the work counters.
+class PathSearch {
+ public:
+  PathSearch(const Topology& topology, const CapacityTracker& tracker,
+             const RoutingParams& params)
+      : topology_(topology),
+        tracker_(tracker),
+        params_(params),
+        noise_(static_cast<std::size_t>(topology.num_fibers()),
+               std::numeric_limits<double>::quiet_NaN()),
+        dist_(static_cast<std::size_t>(topology.num_nodes())),
+        parent_(static_cast<std::size_t>(topology.num_nodes())) {}
+  PathSearch(const PathSearch&) = delete;  // the destructor reports once
+  PathSearch& operator=(const PathSearch&) = delete;
+
+  /// Reports the work counters to the sink, when one is attached:
+  /// "route.greedy.dijkstras" (searches run) and
+  /// "route.greedy.relaxations" (fibers relaxed: passed the capacity
+  /// filters and had their far end's distance compared).
+  ~PathSearch() {
+    if (params_.sink.metrics == nullptr) return;
+    params_.sink.metrics->count("route.greedy.dijkstras", dijkstras_);
+    params_.sink.metrics->count("route.greedy.relaxations", relaxations_);
+  }
+
+  /// Dijkstra over nodes with remaining capacity, minimizing accumulated
+  /// noise. Only the request's endpoints may be users.
+  std::optional<std::vector<int>> min_noise_path(int src, int dst) {
+    ++dijkstras_;
+    const double node_demand = params_.total_qubits();
+    const double pair_demand = params_.core_qubits;
+    const double inf = std::numeric_limits<double>::infinity();
+    std::fill(dist_.begin(), dist_.end(), inf);
+    std::fill(parent_.begin(), parent_.end(), -1);
+    heap_.clear();
+    dist_[static_cast<std::size_t>(src)] = 0.0;
+    push(0.0, src);
+    while (!heap_.empty()) {
+      const auto [d, u] = pop();
+      if (d > dist_[static_cast<std::size_t>(u)]) continue;
+      if (u == dst) break;
+      for (int e : topology_.incident(u)) {
+        const int v = topology_.other_end(e, u);
+        // Only the destination user is enterable; transit nodes need
+        // storage.
+        if (v != dst) {
+          if (!topology_.is_switch_or_server(v)) continue;
+          if (tracker_.node_remaining(v) < node_demand) continue;
+        }
+        if (params_.dual_channel &&
+            tracker_.fiber_pairs_remaining(e) < pair_demand)
+          continue;
+        ++relaxations_;
+        const double nd = d + noise(e);
+        if (nd < dist_[static_cast<std::size_t>(v)]) {
+          dist_[static_cast<std::size_t>(v)] = nd;
+          parent_[static_cast<std::size_t>(v)] = u;
+          push(nd, v);
+        }
       }
     }
+    if (dist_[static_cast<std::size_t>(dst)] == inf) return std::nullopt;
+    std::vector<int> path;
+    for (int v = dst; v != -1; v = parent_[static_cast<std::size_t>(v)])
+      path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    return path;
   }
-  if (dist[static_cast<std::size_t>(dst)] == inf) return std::nullopt;
-  std::vector<int> path;
-  for (int v = dst; v != -1; v = parent[static_cast<std::size_t>(v)])
-    path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
+
+ private:
+  using Item = std::pair<double, int>;
+
+  /// topology.fiber_noise(e), bitwise.
+  double noise(int e) {
+    double& mu = noise_[static_cast<std::size_t>(e)];
+    if (std::isnan(mu)) mu = topology_.fiber_noise(e);
+    return mu;
+  }
+
+  // A binary min-heap on (noise, node): the push_heap/pop_heap sequence
+  // of std::priority_queue<Item, std::vector<Item>, std::greater<>>, so
+  // ties pop in the same order, over a buffer that keeps its capacity.
+  void push(double d, int v) {
+    heap_.push_back({d, v});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+  Item pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const Item top = heap_.back();
+    heap_.pop_back();
+    return top;
+  }
+
+  const Topology& topology_;
+  const CapacityTracker& tracker_;
+  const RoutingParams& params_;
+  std::vector<double> noise_;  ///< NaN = not yet computed
+  std::vector<double> dist_;
+  std::vector<int> parent_;
+  std::vector<Item> heap_;
+  std::int64_t dijkstras_ = 0;
+  std::int64_t relaxations_ = 0;
+};
 
 }  // namespace
 
@@ -205,7 +268,8 @@ std::optional<PlannedCode> plan_code(const Topology& topology,
                                      const CapacityTracker& tracker,
                                      const RoutingParams& params, int src,
                                      int dst) {
-  const auto direct = min_noise_path(topology, tracker, params, src, dst);
+  PathSearch search(topology, tracker, params);
+  const auto direct = search.min_noise_path(src, dst);
   if (direct) {
     if (auto plan = check_path(topology, params, *direct)) return plan;
   }
@@ -239,21 +303,30 @@ std::optional<PlannedCode> plan_code(const Topology& topology,
   };
 
   const auto servers = topology.servers();
-  for (const int server : servers) {
+  // The (server -> dst) leg closes both the one-server detour through
+  // `server` and every two-server detour ending there: search it once.
+  std::vector<std::optional<std::vector<int>>> to_dst(servers.size());
+  std::vector<char> to_dst_known(servers.size(), 0);
+  auto leg_to_dst = [&](std::size_t i) -> const auto& {
+    if (!to_dst_known[i]) {
+      to_dst[i] = search.min_noise_path(servers[i], dst);
+      to_dst_known[i] = 1;
+    }
+    return to_dst[i];
+  };
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    const int server = servers[i];
     if (server == src || server == dst) continue;
-    const auto first = min_noise_path(topology, tracker, params, src, server);
+    const auto first = search.min_noise_path(src, server);
     if (!first) continue;
-    const auto second =
-        min_noise_path(topology, tracker, params, server, dst);
-    if (second) consider(join(*first, *second));
-    for (const int other : servers) {
+    if (const auto& second = leg_to_dst(i)) consider(join(*first, *second));
+    for (std::size_t j = 0; j < servers.size(); ++j) {
+      const int other = servers[j];
       if (other == server || other == src || other == dst) continue;
-      const auto middle =
-          min_noise_path(topology, tracker, params, server, other);
+      const auto middle = search.min_noise_path(server, other);
       if (!middle) continue;
-      const auto last =
-          min_noise_path(topology, tracker, params, other, dst);
-      if (last) consider(join(join(*first, *middle), *last));
+      if (const auto& last = leg_to_dst(j))
+        consider(join(join(*first, *middle), *last));
     }
   }
   return best;
@@ -309,6 +382,92 @@ std::optional<PlannedCode> check_path(const Topology& topology,
                          servers_on_path.begin() + ec_count);
   plan.distance = distance;
   return plan;
+}
+
+bool no_path_can_pass(const Topology& topology, const RoutingParams& params,
+                      int src, int dst) {
+  SURFNET_EXPECTS(src >= 0 && src < topology.num_nodes() && dst >= 0 &&
+                  dst < topology.num_nodes());
+  constexpr int kMaxServers = 10;  // 2^10 server subsets per node
+  const auto servers = topology.servers();
+  if (servers.size() > static_cast<std::size_t>(kMaxServers)) return false;
+  const int n = params.core_qubits;
+  const int total = params.total_qubits();
+  if (n < 0 || total - n < 0 || total <= 0) return false;
+  std::vector<double> noise(static_cast<std::size_t>(topology.num_fibers()));
+  for (int e = 0; e < topology.num_fibers(); ++e) {
+    noise[static_cast<std::size_t>(e)] = topology.fiber_noise(e);
+    if (!(noise[static_cast<std::size_t>(e)] >= 0.0)) return false;
+  }
+  std::vector<int> bit(static_cast<std::size_t>(topology.num_nodes()), 0);
+  for (std::size_t i = 0; i < servers.size(); ++i)
+    bit[static_cast<std::size_t>(servers[i])] = 1 << i;
+
+  // Least noise of a walk src -> v whose interior passes exactly the
+  // servers in `mask`, as left-to-right sums like netsim::path_noise. A
+  // simple path is such a walk, and rounding is monotone, so its
+  // path_noise is >= the entry of (dst, its interior servers).
+  const std::size_t masks = std::size_t{1} << servers.size();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(static_cast<std::size_t>(topology.num_nodes()) *
+                               masks,
+                           inf);
+  using Item = std::pair<double, std::size_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  dist[static_cast<std::size_t>(src) * masks] = 0.0;
+  heap.push({0.0, static_cast<std::size_t>(src) * masks});
+  while (!heap.empty()) {
+    const auto [d, state] = heap.top();
+    heap.pop();
+    if (d > dist[state]) continue;
+    const int u = static_cast<int>(state / masks);
+    if (u == dst) continue;  // a path ends at its destination
+    const std::size_t mask = state % masks;
+    for (int e : topology.incident(u)) {
+      const int v = topology.other_end(e, u);
+      if (v != dst && !topology.is_switch_or_server(v)) continue;
+      const std::size_t next =
+          static_cast<std::size_t>(v) * masks +
+          (v == dst ? mask
+                    : mask | static_cast<std::size_t>(
+                                 bit[static_cast<std::size_t>(v)]));
+      const double nd = d + noise[static_cast<std::size_t>(e)];
+      if (nd < dist[next]) {
+        dist[next] = nd;
+        heap.push({nd, next});
+      }
+    }
+  }
+
+  // check_path's thresholds at the most tolerant scale it can choose.
+  double core_limit = params.core_noise_threshold;
+  double total_limit = params.total_noise_threshold;
+  if (params.adaptive_code_distance) {
+    for (const int d : {3, 4, 5}) {
+      const double scale = (d - 2.0) / 2.0;
+      core_limit = std::max(core_limit, scale * params.core_noise_threshold);
+      total_limit =
+          std::max(total_limit, scale * params.total_noise_threshold);
+    }
+  }
+  for (std::size_t mask = 0; mask < masks; ++mask) {
+    const double mu_total = dist[static_cast<std::size_t>(dst) * masks + mask];
+    if (mu_total == inf) continue;
+    // At most one correction per server passed; fewer corrections leave
+    // more residual noise, and every residual below is non-decreasing in
+    // mu_total and non-increasing in after_ec.
+    const int ec_count = params.ec_reduction > 0.0 ? std::popcount(mask) : 0;
+    const double after_ec = params.ec_reduction * ec_count;
+    const double core_residual = mu_total - after_ec;
+    if (params.dual_channel) {
+      const double whole =
+          (0.5 * n * mu_total + (total - n) * mu_total) / total - after_ec;
+      if (core_residual <= core_limit && whole <= total_limit) return false;
+    } else {
+      if (core_residual <= total_limit) return false;
+    }
+  }
+  return true;
 }
 
 Schedule route_greedy(const Topology& topology,

@@ -102,6 +102,23 @@ std::optional<PlannedCode> check_path(const netsim::Topology& topology,
                                       const RoutingParams& params,
                                       const std::vector<int>& path);
 
+/// Load-independent certificate that (src, dst) is unroutable: true only
+/// when check_path rejects every src -> dst path whose interior nodes are
+/// switches or servers, whatever capacity is left. Every path plan_code
+/// can return is such a path, so a true result means plan_code fails on
+/// any tracker over `topology`. It is a lower bound on noise, not a
+/// search: a Dijkstra over (node, set of servers passed) gives the least
+/// noise mu of any walk through s distinct servers, and the pair is ruled
+/// out when, for every s, even that mu with all s corrections applied
+/// exceeds the Eq. (6) thresholds (at the most tolerant adaptive
+/// distance). The comparisons are check_path's own expressions, so the
+/// certificate holds in floating point, not only in exact arithmetic.
+/// False (no certificate) is always safe; it is returned for topologies
+/// with more than 10 servers, negative or NaN fiber noise, or negative
+/// qubit counts.
+bool no_path_can_pass(const netsim::Topology& topology,
+                      const RoutingParams& params, int src, int dst);
+
 /// Find the minimum-noise feasible path for one code of (src, dst), or
 /// nullopt when no path satisfies capacity and the noise thresholds.
 std::optional<PlannedCode> plan_code(const netsim::Topology& topology,

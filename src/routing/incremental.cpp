@@ -22,24 +22,43 @@ IncrementalRouter::IncrementalRouter(const netsim::Topology& topology,
     : topology_(&topology),
       params_(params),
       tracker_(topology, params),
-      pristine_(topology, params) {}
+      pristine_(topology, params),
+      pair_index_(static_cast<std::size_t>(topology.num_nodes()) *
+                      static_cast<std::size_t>(topology.num_nodes()),
+                  -1) {}
 
 int IncrementalRouter::commodity_index(int src, int dst) {
-  for (std::size_t k = 0; k < commodities_.size(); ++k)
-    if (commodities_[k].src == src && commodities_[k].dst == dst)
-      return static_cast<int>(k);
-  Commodity commodity;
-  commodity.src = src;
-  commodity.dst = dst;
-  // One-time noise-feasibility check on the pristine full-capacity
-  // network: a pair the planner cannot route with every resource free
-  // fails on noise thresholds alone, and no release can change that
-  // while the noise profile holds (set_noise_scale re-runs the check).
-  commodity.infeasible =
-      !plan_code(routing_topology(), pristine_, params_, src, dst)
-           .has_value();
-  commodities_.push_back(std::move(commodity));
-  return static_cast<int>(commodities_.size()) - 1;
+  SURFNET_EXPECTS(src >= 0 && src < topology_->num_nodes() && dst >= 0 &&
+                  dst < topology_->num_nodes());
+  int& k = pair_index_[static_cast<std::size_t>(src) *
+                           static_cast<std::size_t>(topology_->num_nodes()) +
+                       static_cast<std::size_t>(dst)];
+  if (k < 0) {
+    k = static_cast<int>(commodities_.size());
+    Commodity commodity;
+    commodity.src = src;
+    commodity.dst = dst;
+    commodities_.push_back(std::move(commodity));
+  }
+  Commodity& c = commodities_[static_cast<std::size_t>(k)];
+  if (c.profile != stats_.profile_changes) {
+    // First sight, or the noise profile changed since the last check: a
+    // standing formulation baked the old profile's Eq. (6) noise
+    // coefficients into its rows, so drop it (the next assist cold-solves
+    // once, then warm-starts again), and re-run the noise-feasibility
+    // check on the pristine full-capacity network. A pair the planner
+    // cannot route with every resource free fails on noise thresholds
+    // alone, and no release can change that while the profile holds.
+    c.profile = stats_.profile_changes;
+    c.formulation.reset();
+    c.state.clear();
+    c.unroutable = no_path_can_pass(routing_topology(), params_, src, dst);
+    c.infeasible =
+        c.unroutable ||
+        !plan_code(routing_topology(), pristine_, params_, src, dst)
+             .has_value();
+  }
+  return k;
 }
 
 void IncrementalRouter::sync_capacities(RoutingFormulation& formulation) {
@@ -131,6 +150,18 @@ std::optional<AdmittedRoute> IncrementalRouter::admit(int src, int dst,
                                                       int codes) {
   const obs::Sink& sink = params_.sink;
 
+  // Pairs that no route can ever serve are rejected in O(1), before any
+  // search: the certificate covers every path greedy could find at any
+  // load.
+  const int k = commodity_index(src, dst);
+  Commodity& commodity = commodities_[static_cast<std::size_t>(k)];
+  if (commodity.unroutable) {
+    ++stats_.infeasible_skips;
+    ++stats_.unroutable_skips;
+    if (sink.metrics) sink.metrics->count("route.incremental.infeasible");
+    return std::nullopt;
+  }
+
   // Greedy fast path: Dijkstra + thresholds over the live tracker, no LP.
   if (const auto plan =
           plan_code(routing_topology(), tracker_, params_, src, dst)) {
@@ -151,24 +182,24 @@ std::optional<AdmittedRoute> IncrementalRouter::admit(int src, int dst,
     }
   }
 
-  // Warm LP assist. Pairs with no noise-feasible route are rejected in
-  // O(1) forever; a commodity whose full ladder already failed stays
-  // rejected without another solve until capacity comes back.
-  const int k = commodity_index(src, dst);
-  Commodity& commodity = commodities_[static_cast<std::size_t>(k)];
+  // Warm LP assist. Pairs whose pristine plan fails are rejected without
+  // a solve; only after greedy, because that plan is a heuristic, not a
+  // certificate: a detour on the live tracker may pass where every
+  // pristine candidate failed. A commodity whose full ladder already
+  // failed stays rejected without another solve until capacity comes back.
   if (commodity.infeasible) {
     ++stats_.infeasible_skips;
     if (sink.metrics) sink.metrics->count("route.incremental.infeasible");
     return std::nullopt;
   }
-  if (commodity.saturated) {
+  if (commodity.saturated_epoch == saturation_epoch_) {
     ++stats_.saturation_skips;
     if (sink.metrics) sink.metrics->count("route.incremental.saturated");
     return std::nullopt;
   }
   auto route = lp_admit(k, codes);
   if (!route) {
-    commodity.saturated = true;
+    commodity.saturated_epoch = saturation_epoch_;
     ++stats_.lp_rejects;
     if (sink.metrics) sink.metrics->count("route.incremental.lp_reject");
     return std::nullopt;
@@ -189,8 +220,9 @@ void IncrementalRouter::release(const AdmittedRoute& route) {
   // non-default code size or the noise profile changed since.
   tracker_.release(route.path, node_demand_for(route.distance) * route.codes,
                    pair_demand_for(route.distance) * route.codes);
-  // Returned capacity may unblock any saturated commodity.
-  for (auto& c : commodities_) c.saturated = false;
+  // Returned capacity may unblock any saturated commodity: a new epoch
+  // clears every saturation mark at once.
+  ++saturation_epoch_;
 }
 
 void IncrementalRouter::set_noise_scale(double scale) {
@@ -207,18 +239,10 @@ void IncrementalRouter::set_noise_scale(double scale) {
       scaled_.fiber(e).fidelity =
           std::pow(topology_->fiber(e).fidelity, scale);
   }
-  // Every standing formulation baked the previous profile's noise
-  // coefficients into its Eq. (6) rows: drop them (the next assist
-  // cold-solves once, then warm-starts again), clear the saturation
-  // caches, and re-run the noise-feasibility check under the new profile.
-  for (auto& c : commodities_) {
-    c.formulation.reset();
-    c.state.clear();
-    c.saturated = false;
-    c.infeasible =
-        !plan_code(routing_topology(), pristine_, params_, c.src, c.dst)
-             .has_value();
-  }
+  // Clear every saturation mark now. Each commodity's profile stamp is
+  // stale from here on, so commodity_index drops its standing formulation
+  // and re-runs its noise-feasibility check the next time it is looked up.
+  ++saturation_epoch_;
   if (params_.sink.metrics)
     params_.sink.metrics->count("route.incremental.profile_change");
 }

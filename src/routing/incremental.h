@@ -7,9 +7,28 @@
 // netsim::run_traffic: admit one request now, release one later, with the
 // network state carried across deltas instead of rebuilt per call.
 //
-// Per-delta cost ladder:
+// Per-admit cost ladder, cheapest first:
+//   * commodity lookup — O(1) in a dense (src, dst) table; every pair
+//     seen owns a commodity. On first sight, and after a noise-profile
+//     change, it runs two load-independent checks: no_path_can_pass, a
+//     certificate that no route can ever pass the paper's Eq. (6)
+//     thresholds, and plan_code on a pristine full-capacity tracker.
+//     Certified pairs ("unroutable") are rejected here, before any
+//     search.
 //   * greedy fast path — plan_code over the live CapacityTracker; no LP
 //     is touched. Covers the overwhelming majority of admits.
+//   * infeasible skip — a pair whose pristine plan fails is rejected
+//     without an LP solve: its failure is load-independent *within one
+//     noise profile*, so no released capacity can revive it. This flag is
+//     read only after greedy: plan_code is a heuristic and check_path is
+//     not monotone in noise (a noisier detour may afford more
+//     corrections), so greedy on a partly loaded network can admit a
+//     pair whose pristine plan fails. routing_tests keeps the original
+//     greedy-first ladder as an oracle and checks every admit against it.
+//   * saturation skip — a feasible commodity whose full ladder already
+//     failed is rejected without an LP solve until a release restores
+//     capacity. A release bumps one epoch instead of clearing a flag on
+//     every commodity.
 //   * warm LP assist — when greedy fails, the router solves the
 //     commodity's standing single-request formulation with the request
 //     limit set to the requested codes and capacities set to the
@@ -24,16 +43,9 @@
 //   * cold solve — only on a commodity's first assist (shape comes into
 //     existence) — never again while the router lives.
 //
-// Commodities whose endpoints admit no noise-feasible route at all (the
-// paper's Eq. (6) thresholds fail on every candidate path even on an
-// empty network) are marked infeasible once and rejected in O(1)
-// thereafter: their failures are load-independent *within one noise
-// profile*, so no amount of released capacity can revive them. A feasible
-// commodity that fails the full ladder is marked saturated; further
-// greedy-failing admits for it are rejected without an LP solve until a
-// release restores capacity. Admit sources are counted as
-// "route.incremental.{greedy,warm,cold}" and every LP solve flows through
-// the usual solve_lp observability ("lp.*" counters, lp_solve events).
+// Admit sources are counted as "route.incremental.{greedy,warm,cold}",
+// and every LP solve flows through the usual solve_lp observability ("lp.*"
+// counters, lp_solve events).
 //
 // reoptimize() does not re-solve anything: it reports the residual
 // storage headroom the tracker already holds, in default-size codes. It
@@ -54,9 +66,9 @@
 // scaled view; capacity bookkeeping is unaffected. A scale change
 // invalidates every standing formulation (their Eq. (6) noise
 // coefficients are stale), clears the saturated flags, and re-runs the
-// per-commodity noise-feasibility check — so "infeasible, never cleared"
-// is scoped to a fixed profile, and the cold-solve-once guarantee becomes
-// once per (commodity, profile).
+// per-commodity noise-feasibility check, lazily at each commodity's next
+// lookup — so "infeasible, never cleared" is scoped to a fixed profile,
+// and the cold-solve-once guarantee becomes once per (commodity, profile).
 
 #include <optional>
 #include <vector>
@@ -94,6 +106,9 @@ class IncrementalRouter final : public netsim::RouteProvider {
     long long lp_rejects = 0;    ///< LP consulted, no feasible route
     long long saturation_skips = 0;  ///< rejected without consulting the LP
     long long infeasible_skips = 0;  ///< no noise-feasible route exists
+    /// Of infeasible_skips: rejected before any search, on the
+    /// no_path_can_pass certificate.
+    long long unroutable_skips = 0;
     int profile_changes = 0;     ///< set_noise_scale transitions seen
     int cold_solves = 0;
     int warm_solves = 0;
@@ -106,16 +121,25 @@ class IncrementalRouter final : public netsim::RouteProvider {
   struct Commodity {
     int src = -1;
     int dst = -1;
-    bool saturated = false;   ///< full ladder failed; cleared on release
-    bool infeasible = false;  ///< no noise-feasible route; never cleared
+    /// saturation_epoch_ when the full ladder last failed: the commodity
+    /// is saturated while the two are equal (until the next release).
+    long long saturated_epoch = -1;
+    /// Noise profile (Stats::profile_changes) `infeasible` and
+    /// `formulation` belong to; -1 = never checked.
+    int profile = -1;
+    /// no_path_can_pass in `profile`: no route can ever pass Eq. (6).
+    bool unroutable = false;
+    /// The pristine plan fails in `profile` (implied by `unroutable`).
+    bool infeasible = false;
     /// Standing single-request formulation + warm-start basis. Built on
     /// the commodity's first LP assist, shape-stable forever after.
     std::optional<RoutingFormulation> formulation;
     SimplexState state;
   };
 
-  /// Index of the (src, dst) commodity, creating it (and running the
-  /// one-time noise-feasibility check) on first sight.
+  /// Index of the (src, dst) commodity, creating it on first sight. Runs
+  /// the noise-feasibility check (and drops a stale formulation) when the
+  /// commodity has not been checked under the current noise profile.
   int commodity_index(int src, int dst);
   /// Point the formulation's capacities at the tracker's residuals.
   void sync_capacities(RoutingFormulation& formulation);
@@ -150,6 +174,12 @@ class IncrementalRouter final : public netsim::RouteProvider {
   netsim::Topology scaled_;
   double noise_scale_ = 1.0;
   std::vector<Commodity> commodities_;
+  /// Dense (src, dst) -> commodity table, src * num_nodes + dst; -1 = not
+  /// seen yet. Every admitted-for pair owns a commodity.
+  std::vector<int> pair_index_;
+  /// Bumped by every release() and noise-profile change: one increment
+  /// clears every commodity's saturation mark.
+  long long saturation_epoch_ = 0;
   Stats stats_;
 };
 

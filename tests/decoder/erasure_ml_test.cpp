@@ -31,7 +31,6 @@
 
 #include "decoder/code_trial.h"
 #include "decoder/erasure_decoder.h"
-#include "decoder/exhaustive.h"
 #include "decoder/mwpm.h"
 #include "decoder/surfnet_decoder.h"
 #include "decoder/trial_runner.h"
@@ -42,6 +41,7 @@
 #include "qec/logical.h"
 #include "qec/syndrome.h"
 #include "../proptest.h"
+#include "support/exhaustive.h"
 #include "util/rng.h"
 
 namespace surfnet::decoder {
