@@ -23,12 +23,17 @@
 //     tight threshold via scripts/bench_compare.py --key scenario,policy
 //     --metric delivered_good_per_slot.
 //
-// Expected shape: adaptive beats every fixed distance on delivered good
-// codes per slot in both scenarios — fixed d=3 goes dark inside the
+// What is enforced: the bench exits nonzero unless adaptive beats every
+// fixed distance on delivered good codes per slot in at least one
+// scenario. The committed baseline shows it winning only "degrading"
+// (0.4648 vs 0.4308 for fixed_d3): fixed d=3 admits nothing inside the
 // degradation window (no noise-feasible route), larger fixed codes pay
-// their capacity footprint outside it. The bench exits nonzero if
-// adaptive fails to win on at least one scenario, so the claim is
-// enforced in-process, not just plotted.
+// their capacity footprint outside it. In "stable" adaptive trails
+// fixed_d3 (0.5026 vs 0.5594, 168 vs 187 admits) although it picks d=3
+// for every request: the planner's path search filters nodes and fibers
+// at the d=4 demand (params.total_qubits()/core_qubits) whatever
+// distance it then picks, so it passes over routes that only have room
+// for a d=3 code.
 
 #include <algorithm>
 #include <array>

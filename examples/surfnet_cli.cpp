@@ -194,9 +194,8 @@ int run_topology(const Args& args) {
   }
   const auto requests = netsim::random_requests(
       topology, params.num_requests, params.max_codes_per_request, rng);
-  const auto routed = routing::route(
-      topology, requests, params.routing, rng,
-      routing::RouteOptions{routing::RouteStrategy::Lp, nullptr});
+  const auto routed =
+      routing::route(topology, requests, params.routing, rng);
   std::cout << netsim::to_dot(topology, routed.schedule);
   return 0;
 }

@@ -18,7 +18,8 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee "$OUT/ctest.txt"
 
-for bench in build/bench/*; do
+for bench in build/bench/bench_*; do
+  [[ -f "$bench" && -x "$bench" ]] || continue
   name=$(basename "$bench")
   echo "== $name =="
   if [[ "$name" == "bench_decoder_speed" ]]; then

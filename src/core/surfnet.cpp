@@ -97,8 +97,6 @@ TrialMetrics run_trial(const ScenarioParams& params, NetworkDesign design,
       routing::RoutingParams routing = params.routing;
       routing.dual_channel = design == NetworkDesign::SurfNet;
       routing.sink = sink;
-      // The facade's Auto strategy owns the LP-with-greedy-fallback seam
-      // (and the "route.greedy_fallbacks" counter) that used to live here.
       auto routed = routing::route(topology, requests, routing, rng);
       schedule = std::move(routed.schedule);
       break;

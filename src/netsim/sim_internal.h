@@ -189,10 +189,9 @@ inline void reroute_failed(const Topology& topology,
   }
 }
 
-/// Decode over the noise accumulated since the last correction. The
-/// tracing path samples and decodes explicitly so that it can report
-/// erasure and syndrome counts; it draws the same random-variate sequence
-/// as run_code_trial, so traced and untraced runs stay bitwise-identical.
+/// Decode over the noise accumulated since the last correction. Traced and
+/// untraced runs sample and decode the same way; the trace sink only adds
+/// the erasure and syndrome counts of the sample.
 inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
                            int node, bool is_ec,
                            const SimulationParams& params,
@@ -223,12 +222,12 @@ inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
              : qec::QubitNoise{support_pauli, support_erasure};
   }
   const qec::NoiseProfile profile{std::move(rates)};
-  bool success;
+  const auto sample = qec::sample_errors(profile, params.channel, rng);
+  const auto prior = profile.component_error_prob(params.channel);
+  const bool success =
+      decoder::decode_sample(geometry.lattice, sample, prior, decoder)
+          .success();
   if (sink.trace) {
-    const auto sample = qec::sample_errors(profile, params.channel, rng);
-    const auto prior = profile.component_error_prob(params.channel);
-    success = decoder::decode_sample(geometry.lattice, sample, prior, decoder)
-                  .success();
     int erasures = 0;
     for (const char e : sample.erased) erasures += e ? 1 : 0;
     int syndromes = 0;
@@ -241,10 +240,6 @@ inline void run_correction(const RequestPlan& plan, ActiveCode& code, int slot,
     sink.trace->record(obs::Event::decode(slot, plan.sched->request_index,
                                           node, is_ec, erasures, syndromes,
                                           !success));
-  } else {
-    success = decoder::run_code_trial(geometry.lattice, profile,
-                                      params.channel, decoder, rng)
-                  .success();
   }
   if (sink.metrics) {
     sink.metrics->count("sim.decodes");

@@ -191,9 +191,6 @@ struct TrafficResult {
                ? static_cast<double>(measured_blocked) / measured_arrivals
                : 0.0;
   }
-  double mean_latency() const {
-    return latency_count > 0 ? latency_total / latency_count : 0.0;
-  }
   /// Latency percentile (p in [0, 1]) from the histogram; the overflow
   /// bucket reports as its lower edge.
   double latency_percentile(double p) const;

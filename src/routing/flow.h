@@ -1,6 +1,6 @@
 #pragma once
 
-// Flow decomposition shared by the batch LP router (routing/lp_router.h)
+// Flow decomposition shared by the batch LP router (routing/router.h)
 // and the incremental router (routing/incremental.h): strip a relaxed
 // per-edge flow vector into src->dst paths, then allocate an integral
 // code count across them.

@@ -84,22 +84,6 @@ void CapacityTracker::release(const std::vector<int>& path,
   }
 }
 
-void CapacityTracker::release_split(const std::vector<int>& core_path,
-                                    const std::vector<int>& support_path) {
-  const double support_demand =
-      params_.dual_channel ? params_.support_qubits : params_.total_qubits();
-  for (std::size_t i = 1; i + 1 < support_path.size(); ++i)
-    node_capacity_[static_cast<std::size_t>(support_path[i])] +=
-        support_demand;
-  for (std::size_t i = 1; i + 1 < core_path.size(); ++i)
-    node_capacity_[static_cast<std::size_t>(core_path[i])] +=
-        params_.core_qubits;
-  for (std::size_t i = 0; i + 1 < core_path.size(); ++i) {
-    const int e = topology_->fiber_between(core_path[i], core_path[i + 1]);
-    fiber_pairs_[static_cast<std::size_t>(e)] += params_.core_qubits;
-  }
-}
-
 int adaptive_distance(double residual_noise) {
   if (residual_noise <= 0.10) return 3;
   if (residual_noise <= 0.30) return 4;

@@ -68,8 +68,6 @@ class CapacityTracker {
                       const std::vector<int>& support_path) const;
   void commit_split(const std::vector<int>& core_path,
                     const std::vector<int>& support_path);
-  void release_split(const std::vector<int>& core_path,
-                     const std::vector<int>& support_path);
 
  private:
   const netsim::Topology* topology_;

@@ -34,7 +34,7 @@
 // Warm starts: a SimplexState snapshots the basis between solves. Passing
 // the state of a previous solve of a same-shaped problem (same rows and
 // columns; bounds and right-hand sides may differ) restarts from that
-// basis, which typically re-optimizes in a handful of pivots. lp_router
+// basis, which typically re-optimizes in a handful of pivots. route()
 // threads one state through its rounding re-solves.
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "routing/lp_router.h"
+#include "routing/router.h"
 #include "util/rng.h"
 
 namespace surfnet::netsim {
@@ -58,7 +58,7 @@ TEST(ScheduleIo, RoundTripThroughRealRouter) {
   params.core_noise_threshold = 0.5;
   params.total_noise_threshold = 0.6;
   const auto schedule =
-      routing::route_lp(topo, requests, params, rng).schedule;
+      routing::route(topo, requests, params, rng).schedule;
 
   const auto restored =
       schedule_from_string(schedule_to_string(schedule));

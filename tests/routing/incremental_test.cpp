@@ -1,4 +1,4 @@
-// Incremental router (routing/incremental.h) and unified route() facade
+// Incremental router (routing/incremental.h) and batch route()
 // (routing/router.h) tests.
 //
 // The incremental contract: admit() commits exactly what release()
@@ -9,12 +9,13 @@
 // reoptimize() is a read of the live tracker: it runs no LP and changes
 // nothing a later admit can see.
 //
-// The facade contract: RouteStrategy::Auto reproduces the historical
-// route_lp-with-greedy-fallback seam bitwise, the forced arms match the
-// underlying routers, and a warm_state handle fed back into a
-// shape-stable repeat solve cuts its iteration count.
+// The route() fallback contract: an LP that does not reach Optimal yields
+// exactly one greedy run — the schedule and the RNG position of
+// route_greedy called from the same state — and one
+// "route.greedy_fallbacks" count.
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "obs/metrics.h"
 #include "routing/greedy.h"
 #include "routing/incremental.h"
-#include "routing/lp_router.h"
 #include "routing/router.h"
 #include "util/rng.h"
 
@@ -336,12 +336,11 @@ TEST(IncrementalRouter, NoiseScaleRevalidatesInfeasibleCommodities) {
 }
 
 // ---------------------------------------------------------------------------
-// route() facade.
+// route() greedy fallback.
 
 void expect_schedules_equal(const netsim::Schedule& a,
                             const netsim::Schedule& b) {
   EXPECT_EQ(a.requested_codes, b.requested_codes);
-  EXPECT_EQ(a.lp_objective, b.lp_objective);
   ASSERT_EQ(a.scheduled.size(), b.scheduled.size());
   for (std::size_t i = 0; i < a.scheduled.size(); ++i) {
     const auto& x = a.scheduled[i];
@@ -370,89 +369,60 @@ Instance random_instance(std::uint64_t seed) {
   return instance;
 }
 
-TEST(RouteFacade, AutoReproducesTheLpWithGreedyFallbackSeam) {
-  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 99ULL}) {
+// One case per instance seed, so a seed whose LP happens to reach Optimal
+// fails on its own instead of hiding the seeds after it.
+class RouteFallback : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RouteFallback, NonOptimalLpMakesOneGreedyRun) {
+  const std::uint64_t seed = GetParam();
+  const auto instance = random_instance(seed);
+  // A NaN threshold puts NaN coefficients in the Eq. (6) noise rows, so
+  // the simplex ends Unbounded or IterationLimit on these instances: the
+  // numerical failure the fallback serves.
+  RoutingParams params;
+  params.core_noise_threshold = std::numeric_limits<double>::quiet_NaN();
+  obs::MetricsRegistry metrics;
+  params.sink.metrics = &metrics;
+
+  util::Rng rng_route(seed * 31 + 1);
+  util::Rng rng_greedy(seed * 31 + 1);
+  const auto routed =
+      route(instance.topology, instance.requests, params, rng_route);
+  ASSERT_NE(routed.status, LpStatus::Optimal);
+
+  const auto greedy = route_greedy(instance.topology, instance.requests,
+                                   params, rng_greedy);
+  EXPECT_TRUE(routed.greedy_fallback);
+  EXPECT_EQ(metrics.counter("route.greedy_fallbacks"), 1);
+  expect_schedules_equal(routed.schedule, greedy);
+  // One greedy run: both streams stand at the same position.
+  EXPECT_EQ(rng_route(), rng_greedy());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteFallback,
+                         ::testing::Values(1ULL, 5ULL, 42ULL, 99ULL));
+
+TEST(RouteNoFallback, OptimalLpKeepsItsRoundedSchedule) {
+  // The same instances under the default thresholds: the LP reaches
+  // Optimal, so route() neither flags nor counts a fallback and reports
+  // the relaxed optimum, which bounds the integral schedule.
+  for (const std::uint64_t seed : {1ULL, 5ULL, 42ULL, 99ULL}) {
     const auto instance = random_instance(seed);
     RoutingParams params;
-
-    util::Rng rng_facade(seed * 31 + 1);
-    util::Rng rng_manual(seed * 31 + 1);
-    const auto facade =
-        route(instance.topology, instance.requests, params, rng_facade);
-
-    // The historical core-layer seam, spelled out by hand.
-    auto manual =
-        route_lp(instance.topology, instance.requests, params, rng_manual);
-    netsim::Schedule expected = manual.status == LpStatus::Optimal
-                                    ? std::move(manual.schedule)
-                                    : route_greedy(instance.topology,
-                                                   instance.requests, params,
-                                                   rng_manual);
-
-    EXPECT_EQ(facade.status, manual.status);
-    EXPECT_EQ(facade.used_lp, manual.status == LpStatus::Optimal);
-    EXPECT_EQ(facade.greedy_fallback, manual.status != LpStatus::Optimal);
-    expect_schedules_equal(facade.schedule, expected);
-    // Both consumed the identical RNG stream.
-    EXPECT_EQ(rng_facade(), rng_manual());
+    obs::MetricsRegistry metrics;
+    params.sink.metrics = &metrics;
+    util::Rng rng(seed * 31 + 1);
+    const auto routed =
+        route(instance.topology, instance.requests, params, rng);
+    ASSERT_EQ(routed.status, LpStatus::Optimal) << "seed " << seed;
+    EXPECT_FALSE(routed.greedy_fallback) << "seed " << seed;
+    EXPECT_EQ(metrics.counter("route.greedy_fallbacks"), 0)
+        << "seed " << seed;
+    EXPECT_GT(routed.cold_iterations, 0) << "seed " << seed;
+    EXPECT_LE(routed.schedule.scheduled_codes(),
+              routed.lp_objective + 1e-6)
+        << "seed " << seed;
   }
-}
-
-TEST(RouteFacade, GreedyStrategyMatchesRouteGreedy) {
-  const auto instance = random_instance(5);
-  RoutingParams params;
-  util::Rng rng_facade(17);
-  util::Rng rng_manual(17);
-  const auto facade =
-      route(instance.topology, instance.requests, params, rng_facade,
-            RouteOptions{RouteStrategy::Greedy, nullptr});
-  const auto manual =
-      route_greedy(instance.topology, instance.requests, params, rng_manual);
-  EXPECT_FALSE(facade.used_lp);
-  expect_schedules_equal(facade.schedule, manual);
-  EXPECT_EQ(rng_facade(), rng_manual());
-}
-
-TEST(RouteFacade, LpStrategyMatchesRouteLp) {
-  const auto instance = random_instance(9);
-  RoutingParams params;
-  util::Rng rng_facade(23);
-  util::Rng rng_manual(23);
-  const auto facade =
-      route(instance.topology, instance.requests, params, rng_facade,
-            RouteOptions{RouteStrategy::Lp, nullptr});
-  const auto manual =
-      route_lp(instance.topology, instance.requests, params, rng_manual);
-  EXPECT_EQ(facade.status, manual.status);
-  EXPECT_EQ(facade.lp_objective, manual.lp_objective);
-  expect_schedules_equal(facade.schedule, manual.schedule);
-}
-
-TEST(RouteFacade, WarmStateCutsRepeatSolveIterations) {
-  const auto instance = random_instance(3);
-  RoutingParams params;
-  SimplexState state;
-  RouteOptions options{RouteStrategy::Lp, &state};
-
-  util::Rng rng_a(77);
-  const auto cold =
-      route(instance.topology, instance.requests, params, rng_a, options);
-  ASSERT_EQ(cold.status, LpStatus::Optimal);
-  ASSERT_GT(cold.cold_iterations, 0);
-  ASSERT_TRUE(state.valid());
-
-  // Same shape, warm basis: the repeat solve starts where the last one
-  // ended and needs strictly fewer iterations.
-  util::Rng rng_b(77);
-  const auto warm =
-      route(instance.topology, instance.requests, params, rng_b, options);
-  EXPECT_EQ(warm.status, LpStatus::Optimal);
-  EXPECT_LT(warm.cold_iterations, cold.cold_iterations);
-  expect_schedules_equal(warm.schedule, cold.schedule);
-
-  // The result also carries a copy of the final basis.
-  EXPECT_TRUE(warm.state.valid());
-  EXPECT_EQ(warm.state.basis, state.basis);
 }
 
 }  // namespace

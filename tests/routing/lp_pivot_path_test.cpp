@@ -24,7 +24,7 @@
 #include "netsim/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "routing/lp_router.h"
+#include "routing/router.h"
 #include "util/rng.h"
 
 namespace surfnet::routing {
@@ -111,7 +111,7 @@ TEST(LpPivotPath, BatchRouteLpOverTheFigureScenariosIsPinned) {
           RoutingParams params = scenario.routing;
           params.dual_channel = dual_channel;
           params.sink = obs::Sink{&metrics, &trace};
-          const auto routed = route_lp(topology, requests, params, rng);
+          const auto routed = route(topology, requests, params, rng);
           scheduled += routed.schedule.scheduled_codes();
         }
   expect_path(read_path(metrics, trace),

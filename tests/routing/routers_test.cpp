@@ -11,7 +11,7 @@
 #include "netsim/channel.h"
 #include "routing/formulation.h"
 #include "routing/greedy.h"
-#include "routing/lp_router.h"
+#include "routing/router.h"
 #include "routing/purification.h"
 #include "util/rng.h"
 
@@ -143,7 +143,7 @@ TEST_P(RouterPropertyTest, LpScheduleIsValidAndWithinCapacity) {
   const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
   const auto requests = netsim::random_requests(topo, 6, 3, rng);
   const auto params = params_for_tests();
-  const auto result = route_lp(topo, requests, params, rng);
+  const auto result = route(topo, requests, params, rng);
   check_schedule_valid(topo, requests, result.schedule, /*dual=*/true);
   check_capacities(topo, result.schedule, params);
   // Integral schedules cannot beat the LP relaxation.
@@ -158,7 +158,7 @@ TEST_P(RouterPropertyTest, RawLpScheduleIsValid) {
   const auto requests = netsim::random_requests(topo, 6, 3, rng);
   auto params = params_for_tests();
   params.dual_channel = false;
-  const auto result = route_lp(topo, requests, params, rng);
+  const auto result = route(topo, requests, params, rng);
   check_schedule_valid(topo, requests, result.schedule, /*dual=*/false);
   check_capacities(topo, result.schedule, params);
 }
@@ -198,7 +198,7 @@ TEST(LpRouter, WarmResolveStatsAreConsistent) {
     util::Rng rng(seed);
     const auto topo = netsim::make_random_topology(spec_for_tests(), rng);
     const auto requests = netsim::random_requests(topo, 8, 4, rng);
-    const auto result = route_lp(topo, requests, params_for_tests(), rng);
+    const auto result = route(topo, requests, params_for_tests(), rng);
     if (result.status != LpStatus::Optimal) continue;
     EXPECT_GT(result.cold_iterations, 0);
     EXPECT_LE(result.resolves, 2);
