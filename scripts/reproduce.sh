@@ -14,8 +14,11 @@ EXTRA=("$@")
 OUT=reproduction
 mkdir -p "$OUT"
 
-cmake -B build -G Ninja
-cmake --build build
+# No -G: a build/ tree keeps the generator it was first configured with
+# (the README's tier-1 command uses CMake's default), and naming another
+# one here would make CMake refuse to reconfigure it.
+cmake -B build -S .
+cmake --build build --parallel "$(nproc)"
 ctest --test-dir build 2>&1 | tee "$OUT/ctest.txt"
 
 for bench in build/bench/bench_*; do

@@ -55,15 +55,6 @@ CodeTrialResult decode_sample(const qec::CodeLattice& lattice,
   return result;
 }
 
-CodeTrialResult run_code_trial(const qec::CodeLattice& lattice,
-                               const qec::NoiseProfile& profile,
-                               qec::PauliChannel channel,
-                               const Decoder& decoder, util::Rng& rng) {
-  const auto sample = qec::sample_errors(profile, channel, rng);
-  const auto prior = profile.component_error_prob(channel);
-  return decode_sample(lattice, sample, prior, decoder);
-}
-
 double logical_error_rate(const qec::CodeLattice& lattice,
                           const qec::NoiseProfile& profile,
                           qec::PauliChannel channel, const Decoder& decoder,

@@ -51,12 +51,6 @@ CodeTrialResult decode_sample(const qec::CodeLattice& lattice,
                               const std::vector<double>& component_prior,
                               const Decoder& decoder, CodeTrialWorkspace& ws);
 
-/// Sample-and-decode convenience.
-CodeTrialResult run_code_trial(const qec::CodeLattice& lattice,
-                               const qec::NoiseProfile& profile,
-                               qec::PauliChannel channel,
-                               const Decoder& decoder, util::Rng& rng);
-
 /// Monte-Carlo logical error rate over `trials` samples.
 double logical_error_rate(const qec::CodeLattice& lattice,
                           const qec::NoiseProfile& profile,

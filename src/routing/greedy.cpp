@@ -369,7 +369,7 @@ std::optional<PlannedCode> check_path(const Topology& topology,
 }
 
 bool no_path_can_pass(const Topology& topology, const RoutingParams& params,
-                      int src, int dst) {
+                      int src, int dst, const ResidualFilter& residual) {
   SURFNET_EXPECTS(src >= 0 && src < topology.num_nodes() && dst >= 0 &&
                   dst < topology.num_nodes());
   constexpr int kMaxServers = 10;  // 2^10 server subsets per node
@@ -410,6 +410,17 @@ bool no_path_can_pass(const Topology& topology, const RoutingParams& params,
     for (int e : topology.incident(u)) {
       const int v = topology.other_end(e, u);
       if (v != dst && !topology.is_switch_or_server(v)) continue;
+      if (const CapacityTracker* tracker = residual.tracker) {
+        // path_feasible's own comparisons, at the smallest demands.
+        if (v != dst && tracker->node_remaining(v) < residual.node_demand)
+          continue;
+        if (params.dual_channel) {
+          const int f = topology.fiber_between(u, v);
+          if (f < 0 ||
+              tracker->fiber_pairs_remaining(f) < residual.pair_demand)
+            continue;
+        }
+      }
       const std::size_t next =
           static_cast<std::size_t>(v) * masks +
           (v == dst ? mask

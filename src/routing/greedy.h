@@ -114,8 +114,22 @@ std::optional<PlannedCode> check_path(const netsim::Topology& topology,
 /// False (no certificate) is always safe; it is returned for topologies
 /// with more than 10 servers, negative or NaN fiber noise, or negative
 /// qubit counts.
+///
+/// With a residual filter the certificate is load-dependent: the search
+/// also skips every interior node with less than `node_demand` storage
+/// left on `tracker`, and on the dual channel every step u -> v whose
+/// fiber_between(u, v) has fewer than `pair_demand` pairs left. Pass the
+/// smallest per-code demands a route could commit; then a true result
+/// means no path both passes check_path and fits
+/// CapacityTracker::path_feasible at any distance check_path can choose.
+struct ResidualFilter {
+  const CapacityTracker* tracker = nullptr;  ///< nullptr = no filter
+  double node_demand = 0.0;
+  double pair_demand = 0.0;
+};
 bool no_path_can_pass(const netsim::Topology& topology,
-                      const RoutingParams& params, int src, int dst);
+                      const RoutingParams& params, int src, int dst,
+                      const ResidualFilter& residual = {});
 
 /// Find the minimum-noise feasible path for one code of (src, dst), or
 /// nullopt when no path satisfies capacity and the noise thresholds.

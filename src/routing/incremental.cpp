@@ -50,8 +50,7 @@ int IncrementalRouter::commodity_index(int src, int dst) {
     // cannot route with every resource free fails on noise thresholds
     // alone, and no release can change that while the profile holds.
     c.profile = stats_.profile_changes;
-    c.formulation.reset();
-    c.state.clear();
+    c.lp.reset();
     c.unroutable = no_path_can_pass(routing_topology(), params_, src, dst);
     c.infeasible =
         c.unroutable ||
@@ -75,21 +74,22 @@ std::optional<AdmittedRoute> IncrementalRouter::lp_admit(int commodity,
   SURFNET_EXPECTS(commodity >= 0 &&
                   static_cast<std::size_t>(commodity) < commodities_.size());
   Commodity& c = commodities_[static_cast<std::size_t>(commodity)];
-  if (!c.formulation.has_value()) {
+  if (!c.lp) {
     const std::vector<netsim::Request> requests{
         netsim::Request{c.src, c.dst, 1}};
     // Built from the measured topology so the Eq. (6) noise coefficients
     // reflect the live profile; set_noise_scale drops stale formulations.
-    c.formulation.emplace(routing_topology(), requests, params_);
-    c.state.clear();
+    c.lp = std::make_unique<Commodity::StandingLp>(Commodity::StandingLp{
+        RoutingFormulation(routing_topology(), requests, params_), {}});
   }
+  RoutingFormulation& formulation = c.lp->formulation;
   // Limits and right-hand sides change between solves, the shape never
   // does: every solve after the commodity's first warm-starts from the
   // basis the previous one left behind.
-  c.formulation->set_request_limit(0, static_cast<double>(codes));
-  sync_capacities(*c.formulation);
+  formulation.set_request_limit(0, static_cast<double>(codes));
+  sync_capacities(formulation);
   const LpSolution solution =
-      solve_lp(c.formulation->problem(), c.state, params_.sink);
+      solve_lp(formulation.problem(), c.lp->state, params_.sink);
   if (solution.warm_started) {
     ++stats_.warm_solves;
     stats_.warm_iterations += solution.iterations;
@@ -99,7 +99,7 @@ std::optional<AdmittedRoute> IncrementalRouter::lp_admit(int commodity,
   }
   if (solution.status != LpStatus::Optimal) return std::nullopt;
 
-  const auto& vars = c.formulation->vars(0);
+  const auto& vars = formulation.vars(0);
   const double y = solution.x[static_cast<std::size_t>(vars.y)];
   if (y < 1.0 - kCodeEps) return std::nullopt;
 
@@ -109,7 +109,7 @@ std::optional<AdmittedRoute> IncrementalRouter::lp_admit(int commodity,
   const double support_unit = params_.dual_channel
                                   ? params_.support_qubits
                                   : params_.total_qubits();
-  const int de_count = c.formulation->num_directed_edges();
+  const int de_count = formulation.num_directed_edges();
   std::vector<double> flow(static_cast<std::size_t>(de_count), 0.0);
   for (int de = 0; de < de_count; ++de) {
     const int vb = vars.b[static_cast<std::size_t>(de)];
@@ -117,7 +117,7 @@ std::optional<AdmittedRoute> IncrementalRouter::lp_admit(int commodity,
       flow[static_cast<std::size_t>(de)] =
           solution.x[static_cast<std::size_t>(vb)] / support_unit;
   }
-  auto paths = decompose_flow(*c.formulation, topology_->num_nodes(),
+  auto paths = decompose_flow(formulation, topology_->num_nodes(),
                               std::move(flow), c.src, c.dst);
   std::stable_sort(paths.begin(), paths.end(),
                    [](const FlowPath& a, const FlowPath& b) {
@@ -195,6 +195,21 @@ std::optional<AdmittedRoute> IncrementalRouter::admit(int src, int dst,
   if (commodity.saturated_epoch == saturation_epoch_) {
     ++stats_.saturation_skips;
     if (sink.metrics) sink.metrics->count("route.incremental.saturated");
+    return std::nullopt;
+  }
+  // Residual certificate: lp_admit admits only a decomposed path that
+  // passes check_path and fits the tracker at its chosen distance, and
+  // every such path survives this search at the smallest per-code demands
+  // (d=3 under adaptive code sizes, the configured code otherwise). A
+  // certified pair's solve cannot admit, so it is skipped, and the
+  // commodity is marked saturated exactly as an LP reject would mark it.
+  const int smallest = params_.adaptive_code_distance ? 3 : 0;
+  if (no_path_can_pass(routing_topology(), params_, src, dst,
+                       {&tracker_, node_demand_for(smallest) * codes,
+                        pair_demand_for(smallest) * codes})) {
+    commodity.saturated_epoch = saturation_epoch_;
+    ++stats_.residual_skips;
+    if (sink.metrics) sink.metrics->count("route.incremental.residual");
     return std::nullopt;
   }
   auto route = lp_admit(k, codes);

@@ -29,6 +29,15 @@
 //     failed is rejected without an LP solve until a release restores
 //     capacity. A release bumps one epoch instead of clearing a flag on
 //     every commodity.
+//   * residual skip — no_path_can_pass again, now filtered by the live
+//     tracker: interior nodes and (dual channel) fibers without room for
+//     the smallest code the request could use are left out of the
+//     search. The LP assist admits only a decomposed path that passes
+//     check_path and fits the tracker, and every such path survives the
+//     filter, so a certified pair's solve could not admit: it is
+//     skipped, and the commodity is marked saturated as an LP reject
+//     marks it. Under load this rejects nearly every assist before any
+//     formulation is built or solved.
 //   * warm LP assist — when greedy fails, the router solves the
 //     commodity's standing single-request formulation with the request
 //     limit set to the requested codes and capacities set to the
@@ -40,10 +49,13 @@
 //     with every pair ever seen and cold-solve on each growth — O(users^2)
 //     commodities make that quadratically more expensive per delta than
 //     per-commodity problems of constant shape.)
-//   * cold solve — only on a commodity's first assist (shape comes into
-//     existence) — never again while the router lives.
+//   * cold solve — only on a commodity's first solved assist (shape comes
+//     into existence) — never again while the router lives. Assists the
+//     residual certificate rejects build nothing, so a later real solve
+//     warm-starts from the last basis that was actually solved.
 //
 // Admit sources are counted as "route.incremental.{greedy,warm,cold}",
+// rejects as "route.incremental.{infeasible,saturated,residual,lp_reject}",
 // and every LP solve flows through the usual solve_lp observability ("lp.*"
 // counters, lp_solve events).
 //
@@ -70,6 +82,7 @@
 // lookup — so "infeasible, never cleared" is scoped to a fixed profile,
 // and the cold-solve-once guarantee becomes once per (commodity, profile).
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -105,6 +118,9 @@ class IncrementalRouter final : public netsim::RouteProvider {
     long long cold_admits = 0;
     long long lp_rejects = 0;    ///< LP consulted, no feasible route
     long long saturation_skips = 0;  ///< rejected without consulting the LP
+    /// Rejected without consulting the LP on the residual-capacity
+    /// no_path_can_pass certificate: no path left can pass and fit.
+    long long residual_skips = 0;
     long long infeasible_skips = 0;  ///< no noise-feasible route exists
     /// Of infeasible_skips: rejected before any search, on the
     /// no_path_can_pass certificate.
@@ -124,8 +140,8 @@ class IncrementalRouter final : public netsim::RouteProvider {
     /// saturation_epoch_ when the full ladder last failed: the commodity
     /// is saturated while the two are equal (until the next release).
     long long saturated_epoch = -1;
-    /// Noise profile (Stats::profile_changes) `infeasible` and
-    /// `formulation` belong to; -1 = never checked.
+    /// Noise profile (Stats::profile_changes) `infeasible` and `lp`
+    /// belong to; -1 = never checked.
     int profile = -1;
     /// no_path_can_pass in `profile`: no route can ever pass Eq. (6).
     bool unroutable = false;
@@ -133,8 +149,15 @@ class IncrementalRouter final : public netsim::RouteProvider {
     bool infeasible = false;
     /// Standing single-request formulation + warm-start basis. Built on
     /// the commodity's first LP assist, shape-stable forever after.
-    std::optional<RoutingFormulation> formulation;
-    SimplexState state;
+    struct StandingLp {
+      RoutingFormulation formulation;
+      SimplexState state;
+    };
+    /// Held out of line so a Commodity is a few dozen bytes: the O(1)
+    /// rejects read only the fields above, and with the formulation
+    /// inline every lookup landed on its own cache line of a table
+    /// hundreds of KB wide, so their cost rose and fell with the cache.
+    std::unique_ptr<StandingLp> lp;
   };
 
   /// Index of the (src, dst) commodity, creating it on first sight. Runs

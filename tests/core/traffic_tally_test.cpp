@@ -3,10 +3,11 @@
 // Replays the four rate x size cells of bench_traffic at its default seed
 // through the same steps as core::run_traffic_trial, keeping the
 // IncrementalRouter in hand so its admit sources can be checked. The
-// admitted/blocked split and the router's greedy/warm/cold admit counts
-// are pinned exactly: the bench's CI gate checks only requests_per_sec,
-// so without this test a routing change could move the committed
-// tallies unnoticed.
+// admitted/blocked split, the router's greedy/warm/cold admit counts, its
+// LP solves and its residual-certificate skips are pinned exactly: the
+// bench's CI gate checks only requests_per_sec, so without this test a
+// routing change could move the committed tallies, or the LP work behind
+// them, unnoticed.
 
 #include <cstdint>
 #include <string>
@@ -34,14 +35,16 @@ struct CellTally {
   long long greedy_admits = 0;
   long long warm_admits = 0;
   long long cold_admits = 0;
+  long long lp_solves = 0;
+  long long residual_skips = 0;
 };
 
 TEST(TrafficTally, BenchCellsMatchTheCommittedTallies) {
   const std::vector<CellTally> cells{
-      {"rate0.5_n24", 24, 0.5, 7287, 12713, 7229, 56, 2},
-      {"rate2.0_n24", 24, 2.0, 1591, 18409, 1546, 45, 0},
-      {"rate0.5_n48", 48, 0.5, 6229, 13771, 6229, 0, 0},
-      {"rate2.0_n48", 48, 2.0, 2158, 17842, 2158, 0, 0},
+      {"rate0.5_n24", 24, 0.5, 7287, 12713, 7229, 54, 4, 210, 5758},
+      {"rate2.0_n24", 24, 2.0, 1591, 18409, 1546, 41, 4, 140, 10653},
+      {"rate0.5_n48", 48, 0.5, 6229, 13771, 6229, 0, 0, 2, 962},
+      {"rate2.0_n48", 48, 2.0, 2158, 17842, 2158, 0, 0, 7, 4995},
   };
   for (const auto& cell : cells) {
     SCOPED_TRACE(cell.name);
@@ -69,6 +72,9 @@ TEST(TrafficTally, BenchCellsMatchTheCommittedTallies) {
     EXPECT_EQ(router.stats().greedy_admits, cell.greedy_admits);
     EXPECT_EQ(router.stats().warm_admits, cell.warm_admits);
     EXPECT_EQ(router.stats().cold_admits, cell.cold_admits);
+    EXPECT_EQ(router.stats().warm_solves + router.stats().cold_solves,
+              cell.lp_solves);
+    EXPECT_EQ(router.stats().residual_skips, cell.residual_skips);
   }
 }
 

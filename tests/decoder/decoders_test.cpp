@@ -17,6 +17,7 @@
 #include "decoder/union_find.h"
 #include "qec/core_support.h"
 #include "qec/syndrome.h"
+#include "support/code_trial.h"
 #include "util/rng.h"
 
 namespace surfnet::decoder {

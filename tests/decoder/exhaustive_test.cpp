@@ -21,6 +21,7 @@
 #include "qec/error_model.h"
 #include "qec/logical.h"
 #include "qec/syndrome.h"
+#include "support/code_trial.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 

@@ -19,6 +19,7 @@
 #include "qec/core_support.h"
 #include "qec/lattice.h"
 #include "qec/rotated_lattice.h"
+#include "support/code_trial.h"
 #include "util/stats.h"
 
 namespace surfnet::decoder {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "decoder/code_trial.h"
 #include "decoder/mwpm.h"
 #include "decoder/surfnet_decoder.h"
 #include "decoder/union_find.h"
@@ -24,6 +23,7 @@
 #include "routing/greedy.h"
 #include "routing/router.h"
 #include "routing/validate.h"
+#include "support/code_trial.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 

@@ -11,6 +11,7 @@
 #include "qec/error_model.h"
 #include "qec/logical.h"
 #include "qec/syndrome.h"
+#include "support/code_trial.h"
 #include "util/rng.h"
 
 namespace surfnet::qec {

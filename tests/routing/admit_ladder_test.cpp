@@ -6,11 +6,16 @@
 //     partially committed trackers;
 //   * no_path_can_pass never certifies a pair that some simple path
 //     passes (exhaustive enumeration on small topologies);
-//   * IncrementalRouter, which rejects certified pairs before planning,
-//     makes bitwise the admit/block decisions of GreedyFirstRouter, which
-//     plans on the live tracker before reading any flag, on random 24- and
-//     48-node streams with and without degradation windows, and the
-//     premise (a certified pair has no live plan) holds at every admit;
+//   * with a residual filter on a partly committed tracker, it never
+//     certifies a pair that some simple path passes and fits;
+//   * IncrementalRouter, which rejects certified pairs before planning
+//     and skips LP assists the residual certificate rules out, makes
+//     bitwise the admit/block decisions of GreedyFirstRouter, which plans
+//     on the live tracker before reading any flag and solves every
+//     assist, on random 24- and 48-node streams with and without
+//     degradation windows; both premises (a certified pair has no live
+//     plan; a residually certified admit admits nothing) hold at every
+//     admit;
 //   * the pristine-plan flag is not such a certificate: pinned streams
 //     where greedy admits a pair whose pristine plan fails;
 //   * the planner's work counters ("route.greedy.dijkstras",
@@ -114,10 +119,40 @@ TEST(PlanCodeOracle, MatchesReferenceOnPartiallyCommittedTrackers) {
 // ---------------------------------------------------------------------------
 // no_path_can_pass vs exhaustive path enumeration.
 
+/// Per-code demands of a code of `distance` (0 = configuration default).
+double node_demand_for(const RoutingParams& params, int distance) {
+  return distance > 0 ? RoutingParams::total_qubits_for(distance)
+                      : params.total_qubits();
+}
+double pair_demand_for(const RoutingParams& params, int distance) {
+  return distance > 0 ? RoutingParams::core_qubits_for(distance)
+                      : params.core_qubits;
+}
+
+/// The residual filter IncrementalRouter hands no_path_can_pass before an
+/// LP assist: the smallest per-code demands a route could commit.
+ResidualFilter residual_filter(const CapacityTracker& tracker,
+                               const RoutingParams& params, int codes) {
+  const int smallest = params.adaptive_code_distance ? 3 : 0;
+  return {&tracker, node_demand_for(params, smallest) * codes,
+          pair_demand_for(params, smallest) * codes};
+}
+
 /// Does any simple src -> dst path through switches/servers pass
-/// check_path? Depth-first over every such path.
+/// check_path (and, given a tracker, fit `codes` codes of the distance
+/// check_path chose)? Depth-first over every such path.
 bool some_path_passes(const Topology& topology, const RoutingParams& params,
-                      int src, int dst) {
+                      int src, int dst,
+                      const CapacityTracker* tracker = nullptr,
+                      int codes = 1) {
+  auto passes = [&](const std::vector<int>& path) {
+    const auto plan = check_path(topology, params, path);
+    return plan.has_value() &&
+           (tracker == nullptr ||
+            tracker->path_feasible(
+                path, node_demand_for(params, plan->distance) * codes,
+                pair_demand_for(params, plan->distance) * codes));
+  };
   std::vector<int> path{src};
   std::vector<char> on_path(static_cast<std::size_t>(topology.num_nodes()),
                             0);
@@ -129,9 +164,9 @@ bool some_path_passes(const Topology& topology, const RoutingParams& params,
       if (on_path[static_cast<std::size_t>(v)]) continue;
       if (v == dst) {
         path.push_back(v);
-        const bool passes = check_path(topology, params, path).has_value();
+        const bool found = passes(path);
         path.pop_back();
-        if (passes) return true;
+        if (found) return true;
         continue;
       }
       if (!topology.is_switch_or_server(v)) continue;
@@ -150,6 +185,11 @@ bool some_path_passes(const Topology& topology, const RoutingParams& params,
 TEST(NoPathCanPass, CertifiedPairsHaveNoPassingPath) {
   long long certified = 0;
   long long unroutable = 0;
+  // With the residual filter on a partly committed tracker: certified
+  // pairs, and of those the ones the pristine certificate misses.
+  long long residual_certified = 0;
+  long long load_certified = 0;
+  long long unfit = 0;
   proptest::check("no_path_can_pass_is_sound", {.iterations = 300},
                   [&](util::Rng& rng) {
     netsim::TopologySpec spec;
@@ -171,11 +211,50 @@ TEST(NoPathCanPass, CertifiedPairsHaveNoPassingPath) {
         ASSERT_FALSE(passes) << "certified pair " << src << "->" << dst
                              << " has a path that passes Eq. (6)";
       }
+
+    // Drain the network with greedy plans of random pairs, committed at
+    // their chosen distance, then certify again against what is left.
+    CapacityTracker tracker(topology, params);
+    const int requests = proptest::int_in(rng, 5, 40);
+    for (int r = 0; r < requests; ++r) {
+      const int src = proptest::pick(rng, users);
+      const int dst = proptest::pick(rng, users);
+      if (src == dst) continue;
+      const auto plan = plan_code(topology, tracker, params, src, dst);
+      if (!plan) continue;
+      const int codes = proptest::int_in(rng, 1, 3);
+      const double node_demand =
+          node_demand_for(params, plan->distance) * codes;
+      const double pair_demand =
+          pair_demand_for(params, plan->distance) * codes;
+      if (tracker.path_feasible(plan->path, node_demand, pair_demand))
+        tracker.commit(plan->path, node_demand, pair_demand);
+    }
+    for (const int src : users)
+      for (const int dst : users) {
+        if (src == dst) continue;
+        const int codes = proptest::int_in(rng, 1, 2);
+        const bool passes =
+            some_path_passes(topology, params, src, dst, &tracker, codes);
+        if (!passes) ++unfit;
+        if (!no_path_can_pass(topology, params, src, dst,
+                              residual_filter(tracker, params, codes)))
+          continue;
+        ++residual_certified;
+        if (!no_path_can_pass(topology, params, src, dst)) ++load_certified;
+        ASSERT_FALSE(passes)
+            << "residually certified pair " << src << "->" << dst << " ("
+            << codes << " codes) has a path that passes Eq. (6) and fits";
+      }
   });
   // Not vacuous, and not a restatement of the enumeration either: the
   // certificate is a bound, so it misses some unroutable pairs.
   EXPECT_GT(certified, 0);
   EXPECT_LT(certified, unroutable);
+  // The residual filter certified pairs the load-independent certificate
+  // cannot, and is still only a bound.
+  EXPECT_GT(load_certified, 0);
+  EXPECT_LT(residual_certified, unfit);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,19 +303,26 @@ class Recording final : public netsim::RouteProvider {
 constexpr std::uint64_t kFixedDistanceMissSeed = 15693844527472246649ULL;
 constexpr std::uint64_t kAdaptiveDistanceMissSeed = 12511073493850131815ULL;
 
-void expect_stats_equal(const IncrementalRouter::Stats& a,
-                        const IncrementalRouter::Stats& b) {
-  EXPECT_EQ(a.greedy_admits, b.greedy_admits);
-  EXPECT_EQ(a.warm_admits, b.warm_admits);
-  EXPECT_EQ(a.cold_admits, b.cold_admits);
-  EXPECT_EQ(a.lp_rejects, b.lp_rejects);
-  EXPECT_EQ(a.saturation_skips, b.saturation_skips);
-  EXPECT_EQ(a.infeasible_skips, b.infeasible_skips);
-  EXPECT_EQ(a.profile_changes, b.profile_changes);
-  EXPECT_EQ(a.cold_solves, b.cold_solves);
-  EXPECT_EQ(a.warm_solves, b.warm_solves);
-  EXPECT_EQ(a.cold_iterations, b.cold_iterations);
-  EXPECT_EQ(a.warm_iterations, b.warm_iterations);
+/// The router against the oracle. Every rung counts the same, except that
+/// an assist the residual certificate rejects is an LP reject in the
+/// oracle, which solved it. So the router solves no more often, and the
+/// Warm/Cold split of LP admits may move: a commodity whose earlier
+/// assists were all certified cold-solves on its first real solve.
+void expect_stats_agree(const IncrementalRouter::Stats& router,
+                        const IncrementalRouter::Stats& oracle) {
+  EXPECT_EQ(router.greedy_admits, oracle.greedy_admits);
+  EXPECT_EQ(router.warm_admits + router.cold_admits,
+            oracle.warm_admits + oracle.cold_admits);
+  EXPECT_EQ(router.residual_skips + router.lp_rejects, oracle.lp_rejects);
+  EXPECT_EQ(router.saturation_skips, oracle.saturation_skips);
+  EXPECT_EQ(router.infeasible_skips, oracle.infeasible_skips);
+  EXPECT_EQ(router.profile_changes, oracle.profile_changes);
+  EXPECT_LE(router.cold_solves + router.warm_solves,
+            oracle.cold_solves + oracle.warm_solves);
+}
+
+bool lp_sourced(const AdmittedRoute& route) {
+  return route.source != netsim::AdmitSource::Greedy;
 }
 
 void expect_logs_equal(const std::vector<Decision>& got,
@@ -256,7 +342,7 @@ void expect_logs_equal(const std::vector<Decision>& got,
     EXPECT_EQ(a.route->noise, b.route->noise);  // bitwise
     EXPECT_EQ(a.route->codes, b.route->codes);
     EXPECT_EQ(a.route->distance, b.route->distance);
-    EXPECT_EQ(a.route->source, b.route->source);
+    EXPECT_EQ(lp_sourced(*a.route), lp_sourced(*b.route));
     if (::testing::Test::HasFailure()) return;
   }
 }
@@ -304,15 +390,9 @@ bool greedy_admits(const GreedyFirstRouter& oracle,
   const auto live = reference_plan_code(oracle.routing_topology(),
                                         oracle.tracker(), params, src, dst);
   if (!live) return false;
-  const int d = live->distance;
-  const double node_demand =
-      (d > 0 ? RoutingParams::total_qubits_for(d) : params.total_qubits()) *
-      codes;
-  const double pair_demand =
-      (d > 0 ? RoutingParams::core_qubits_for(d) : params.core_qubits) *
-      codes;
-  return oracle.tracker().path_feasible(live->path, node_demand,
-                                        pair_demand);
+  return oracle.tracker().path_feasible(
+      live->path, node_demand_for(params, live->distance) * codes,
+      pair_demand_for(params, live->distance) * codes);
 }
 
 /// Admits for which greedy succeeds on the live tracker although the
@@ -335,28 +415,45 @@ int pristine_flag_misses(const Stream& stream) {
 }
 
 /// Runs `stream` through the greedy-first oracle and the router and
-/// expects identical provider calls, routes, Stats and results. Before
-/// every oracle admit it checks the reorder's premise: a pair the
-/// certificate rules out under the current noise profile has no plan on
-/// the live tracker. Returns the router's Stats; `certified` counts the
-/// premise checks.
+/// expects identical provider calls, routes and results, and agreeing
+/// Stats (expect_stats_agree). Before every oracle admit it checks both
+/// premises of the router's reorder on the oracle's live tracker: a pair
+/// the load-independent certificate rules out under the current noise
+/// profile has no plan, and a pair the residual certificate rules out is
+/// not admitted at all (a greedy admit's path would survive the filter
+/// too). Returns the router's Stats; `certified` counts the first premise
+/// checks, `residual_certified` the second.
 IncrementalRouter::Stats expect_ladders_agree(const Stream& stream,
-                                              long long& certified) {
+                                              long long& certified,
+                                              long long& residual_certified) {
   const auto& params = stream.params;
   GreedyFirstRouter oracle(stream.topology, params);
-  Recording<GreedyFirstRouter> expected(oracle, [&](int src, int dst, int) {
-    if (!no_path_can_pass(oracle.routing_topology(), params, src, dst))
-      return;
-    ++certified;
-    EXPECT_FALSE(reference_plan_code(oracle.routing_topology(),
-                                     oracle.tracker(), params, src, dst)
-                     .has_value())
-        << "certified pair " << src << "->" << dst
-        << " has a plan on the live tracker";
-  });
+  std::vector<char> residually_certified;
+  Recording<GreedyFirstRouter> expected(
+      oracle, [&](int src, int dst, int codes) {
+        residually_certified.push_back(no_path_can_pass(
+            oracle.routing_topology(), params, src, dst,
+            residual_filter(oracle.tracker(), params, codes)));
+        if (!no_path_can_pass(oracle.routing_topology(), params, src, dst))
+          return;
+        ++certified;
+        EXPECT_FALSE(reference_plan_code(oracle.routing_topology(),
+                                         oracle.tracker(), params, src, dst)
+                         .has_value())
+            << "certified pair " << src << "->" << dst
+            << " has a plan on the live tracker";
+      });
   util::Rng oracle_rng(stream.seed);
   const auto want = netsim::run_traffic(stream.topology, expected,
                                         stream.workload, oracle_rng);
+  for (std::size_t i = 0; i < expected.log.size(); ++i) {
+    if (!residually_certified[i]) continue;
+    ++residual_certified;
+    EXPECT_FALSE(expected.log[i].route.has_value())
+        << "admit call " << i << ": residually certified pair "
+        << expected.log[i].src << "->" << expected.log[i].dst
+        << " was admitted";
+  }
 
   IncrementalRouter router(stream.topology, params);
   Recording<IncrementalRouter> actual(router);
@@ -365,7 +462,7 @@ IncrementalRouter::Stats expect_ladders_agree(const Stream& stream,
                                        stream.workload, router_rng);
 
   expect_logs_equal(actual.log, expected.log);
-  expect_stats_equal(router.stats(), oracle.stats());
+  expect_stats_agree(router.stats(), oracle.stats());
   EXPECT_EQ(got.admitted, want.admitted);
   EXPECT_EQ(got.blocked, want.blocked);
   EXPECT_EQ(got.last_slot, want.last_slot);
@@ -376,14 +473,17 @@ IncrementalRouter::Stats expect_ladders_agree(const Stream& stream,
 TEST(AdmitLadder, CertifiedFirstMatchesTheGreedyFirstOracle) {
   IncrementalRouter::Stats total;
   long long certified = 0;
+  long long residual_certified = 0;
   proptest::check("certified_first_matches_greedy_first",
                   {.iterations = 32}, [&](util::Rng& rng) {
-    const auto s = expect_ladders_agree(random_stream(rng), certified);
+    const auto s = expect_ladders_agree(random_stream(rng), certified,
+                                        residual_certified);
     total.greedy_admits += s.greedy_admits;
     total.warm_admits += s.warm_admits + s.cold_admits;
     total.infeasible_skips += s.infeasible_skips;
     total.unroutable_skips += s.unroutable_skips;
     total.saturation_skips += s.saturation_skips;
+    total.residual_skips += s.residual_skips;
     total.lp_rejects += s.lp_rejects;
     total.profile_changes += s.profile_changes;
   });
@@ -395,8 +495,13 @@ TEST(AdmitLadder, CertifiedFirstMatchesTheGreedyFirstOracle) {
   EXPECT_GT(total.greedy_admits, 0);
   EXPECT_GT(total.warm_admits, 0);
   EXPECT_GT(total.saturation_skips, 0);
+  EXPECT_GT(total.residual_skips, 0);
   EXPECT_GT(total.lp_rejects, 0);
   EXPECT_GT(total.profile_changes, 0);
+  // The residual certificate also fires ahead of admits the router never
+  // takes to the LP rung (an unroutable pair, say), so it fired at least
+  // as often as the router skipped on it.
+  EXPECT_GE(residual_certified, total.residual_skips);
 }
 
 TEST(AdmitLadder, PristinePlanFailureIsNotACertificate) {
@@ -414,7 +519,8 @@ TEST(AdmitLadder, PristinePlanFailureIsNotACertificate) {
     const Stream stream = random_stream(rng);
     EXPECT_GT(pristine_flag_misses(stream), 0);
     long long certified = 0;
-    expect_ladders_agree(stream, certified);
+    long long residual_certified = 0;
+    expect_ladders_agree(stream, certified, residual_certified);
   }
 }
 

@@ -3,9 +3,10 @@
 //
 // The incremental contract: admit() commits exactly what release()
 // returns, the greedy fast path keeps the LP untouched while capacity
-// lasts, warm-started assists need strictly fewer simplex iterations than
-// the cold solves that precede them, and a saturated commodity is
-// rejected without another solve until capacity comes back.
+// lasts, an assist no path left can serve is rejected without a solve,
+// warm-started assists need strictly fewer simplex iterations than the
+// cold solves that precede them, and a saturated commodity is rejected
+// without another solve until capacity comes back.
 // reoptimize() is a read of the live tracker: it runs no LP and changes
 // nothing a later admit can see.
 //
@@ -109,9 +110,27 @@ TEST(IncrementalRouter, GreedyFastPathLeavesTheLpUntouched) {
   EXPECT_EQ(router.stats().warm_solves, 0);
 }
 
-/// Drive the ring to saturation on the (0, 4) commodity: every fiber of
-/// both disjoint routes carries 50 pairs and a code costs core_qubits=7,
-/// so after 14 admits nothing fits and the LP ladder engages.
+/// Two routes from user 0 to user 4: the short 0 - sw(1) - 4, whose
+/// switch stores exactly one default-size code, and the longer
+/// 0 - sw(2) - sw(3) - 4 with room for many. Every fiber carries 50
+/// pairs (seven codes of core_qubits=7). A two-code request fails greedy,
+/// which takes the short route and finds it too small, while the long
+/// route can still carry it: the LP assist runs and admits there.
+Topology two_route_topology() {
+  std::vector<Node> nodes(5);
+  nodes[1] = {NodeRole::Switch, 25};
+  nodes[2] = {NodeRole::Switch, 1000};
+  nodes[3] = {NodeRole::Switch, 1000};
+  std::vector<Fiber> fibers{{0, 1, 0.97, 50}, {1, 4, 0.97, 50},
+                            {0, 2, 0.97, 50}, {2, 3, 0.97, 50},
+                            {3, 4, 0.97, 50}};
+  return Topology(std::move(nodes), std::move(fibers));
+}
+
+/// Drive the ring to saturation on the (0, 4) commodity: both routes share
+/// the end fibers, which carry 50 pairs at core_qubits=7 per code, so after
+/// seven admits nothing fits. No path left can carry a code, so the failed
+/// admit is rejected on the residual certificate without an LP solve.
 TEST(IncrementalRouter, SaturationIsSkippedUntilCapacityReturns) {
   const auto topology = ring_topology();
   RoutingParams params;
@@ -124,20 +143,18 @@ TEST(IncrementalRouter, SaturationIsSkippedUntilCapacityReturns) {
     held.push_back(*route);
     ASSERT_LT(held.size(), 200u) << "the ring never saturated";
   }
-  ASSERT_FALSE(held.empty());
-  // The failed admit consulted the LP exactly once and marked the
-  // commodity saturated.
-  EXPECT_EQ(router.stats().lp_rejects, 1);
-  const int solves_after_reject =
-      router.stats().cold_solves + router.stats().warm_solves;
-  EXPECT_GE(solves_after_reject, 1);
+  ASSERT_EQ(held.size(), 7u);
+  // The failed admit was certified without a solve and marked the
+  // commodity saturated, as an LP reject would have.
+  EXPECT_EQ(router.stats().residual_skips, 1);
+  EXPECT_EQ(router.stats().lp_rejects, 0);
+  EXPECT_EQ(router.stats().cold_solves + router.stats().warm_solves, 0);
 
-  // Further admits for the saturated commodity skip the LP entirely.
+  // Further admits for the saturated commodity skip even the certificate.
   EXPECT_FALSE(router.admit(0, 4, 1).has_value());
   EXPECT_FALSE(router.admit(0, 4, 1).has_value());
   EXPECT_EQ(router.stats().saturation_skips, 2);
-  EXPECT_EQ(router.stats().cold_solves + router.stats().warm_solves,
-            solves_after_reject);
+  EXPECT_EQ(router.stats().residual_skips, 1);
 
   // A release clears the flag and the freed capacity admits again.
   router.release(held.back());
@@ -147,37 +164,35 @@ TEST(IncrementalRouter, SaturationIsSkippedUntilCapacityReturns) {
 }
 
 TEST(IncrementalRouter, WarmSolvesNeedFewerIterationsThanCold) {
-  const auto topology = ring_topology();
+  const auto topology = two_route_topology();
   RoutingParams params;
   IncrementalRouter router(topology, params);
 
-  // Saturate to force the first (cold) LP solve.
-  std::vector<netsim::AdmittedRoute> held;
-  while (auto route = router.admit(0, 4, 1)) held.push_back(*route);
-  ASSERT_EQ(router.stats().cold_solves, 1);
-  const long cold_total = router.stats().cold_iterations;
-  ASSERT_GT(cold_total, 0);
-
-  // Twice over: a release frees one code's worth of capacity, greedy
-  // takes it back, and the next admit fails greedy again and consults the
-  // LP. The commodity's formulation is shape-stable, so that solve
-  // warm-starts from the saved basis.
-  for (int round = 0; round < 2; ++round) {
-    router.release(held.back());
-    held.pop_back();
-    const auto refill = router.admit(0, 4, 1);
-    ASSERT_TRUE(refill.has_value());
-    EXPECT_EQ(refill->source, netsim::AdmitSource::Greedy);
-    held.push_back(*refill);
-    const int solves_before = router.stats().warm_solves;
-    EXPECT_FALSE(router.admit(0, 4, 1).has_value());
-    EXPECT_EQ(router.stats().warm_solves, solves_before + 1);
+  // The first two-code request builds the commodity's formulation and
+  // solves it cold; the next two warm-start from its basis. Each admits
+  // on the long route, whose end fibers then hold 50 - 3 * 14 = 8 pairs:
+  // too few for two more codes anywhere, so the fourth request is
+  // certified without a solve.
+  std::vector<netsim::AdmitSource> sources;
+  for (int request = 0; request < 3; ++request) {
+    const auto route = router.admit(0, 4, 2);
+    ASSERT_TRUE(route.has_value());
+    EXPECT_EQ(route->path, (std::vector<int>{0, 2, 3, 4}));
+    sources.push_back(route->source);
   }
+  EXPECT_EQ(sources,
+            (std::vector<netsim::AdmitSource>{netsim::AdmitSource::Cold,
+                                              netsim::AdmitSource::Warm,
+                                              netsim::AdmitSource::Warm}));
+  EXPECT_FALSE(router.admit(0, 4, 2).has_value());
+  EXPECT_EQ(router.stats().residual_skips, 1);
   ASSERT_EQ(router.stats().cold_solves, 1);
   ASSERT_EQ(router.stats().warm_solves, 2);
+  ASSERT_GT(router.stats().cold_iterations, 0);
 
   const double cold_per_solve =
-      static_cast<double>(cold_total) / router.stats().cold_solves;
+      static_cast<double>(router.stats().cold_iterations) /
+      router.stats().cold_solves;
   const double warm_per_solve =
       static_cast<double>(router.stats().warm_iterations) /
       router.stats().warm_solves;
@@ -214,11 +229,11 @@ TEST(IncrementalRouter, ReoptimizeIsATrackerReadWithNoSideEffects) {
   router.release(*route);
   EXPECT_EQ(router.reoptimize(), fresh);
 
-  // Saturate the ring: the failed admit consults the LP and marks the
-  // commodity saturated.
+  // Saturate the ring: the failed admit is certified without a solve and
+  // marks the commodity saturated.
   while (router.admit(0, 4, 1)) {
   }
-  ASSERT_EQ(router.stats().lp_rejects, 1);
+  ASSERT_EQ(router.stats().residual_skips, 1);
   const auto stats = router.stats();
   const auto tracker = snapshot(topology, router.tracker());
 

@@ -7,15 +7,19 @@
 // LpSolution are therefore bitwise fixed, and this test pins them: it
 // routes the six Fig. 6(a)/7 scenarios over Barabasi-Albert networks
 // drawn exactly as core::run_trial draws them (both the SurfNet and the
-// Raw formulation), plus one dynamic-traffic stream whose incremental
-// router consults the LP assist, and compares the summed solver counters,
-// the scheduled codes and a hash of every solve's objective bits with
+// Raw formulation), plus one dynamic-traffic stream whose greedy-first
+// oracle router (tests/support) consults the LP assist on every admit
+// greedy cannot serve, and compares the summed solver counters, the
+// scheduled codes and a hash of every solve's objective bits with
 // constants recorded before the kernels were rewritten. Any change that
 // moves a single pivot fails here; a change that is meant to move pivots
 // must re-record the constants and justify every admit and block delta.
+// The shipped IncrementalRouter skips the assists its residual certificate
+// rules out, so its own solve count on the same stream is pinned apart.
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -24,7 +28,9 @@
 #include "netsim/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "routing/incremental.h"
 #include "routing/router.h"
+#include "support/greedy_first_router.h"
 #include "util/rng.h"
 
 namespace surfnet::routing {
@@ -45,6 +51,10 @@ constexpr std::int64_t kStreamRefactorizations = 2217;
 constexpr std::int64_t kStreamEtaNonzeros = 785490;
 constexpr std::uint64_t kStreamObjectiveHash = 0x9fe6d075b858d16aULL;
 constexpr long long kStreamAdmitted = 254;
+// The same stream through IncrementalRouter: LP solves it still runs and
+// assists its residual certificate rejected without one.
+constexpr std::int64_t kRouterStreamSolves = 24;
+constexpr long long kRouterStreamResidualSkips = 1598;
 
 struct PivotPath {
   std::int64_t solves = 0;
@@ -120,9 +130,9 @@ TEST(LpPivotPath, BatchRouteLpOverTheFigureScenariosIsPinned) {
   EXPECT_EQ(scheduled, kBatchScheduledCodes);
 }
 
-TEST(LpPivotPath, IncrementalLpAssistStreamIsPinned) {
-  // bench_traffic's rate2.0_n24 cell, shortened: the greedy fast path
-  // fails often enough here that the router runs cold and warm LP solves.
+/// bench_traffic's rate2.0_n24 cell, shortened: the greedy fast path
+/// fails often enough here that the LP assist runs cold and warm solves.
+core::TrafficScenario assist_stream_scenario() {
   auto scenario = core::make_traffic_scenario(core::FacilityLevel::Sufficient,
                                               core::ConnectionQuality::Good);
   scenario.topology.num_nodes = 24;
@@ -130,14 +140,49 @@ TEST(LpPivotPath, IncrementalLpAssistStreamIsPinned) {
   scenario.workload.max_requests = kStreamRequests;
   scenario.workload.horizon_slots = kStreamRequests * 2 + 100000;
   scenario.workload.warmup_slots = 500;
+  return scenario;
+}
 
+/// core::run_traffic_trial's steps with `Router` as the provider; returns
+/// the stream's result and the router's stats.
+template <typename Router>
+std::pair<netsim::TrafficResult, IncrementalRouter::Stats> run_assist_stream(
+    const obs::Sink& sink) {
+  const auto scenario = assist_stream_scenario();
+  util::Rng rng(20240607);
+  const auto topology = netsim::make_random_topology(scenario.topology, rng);
+  RoutingParams routing = scenario.routing;
+  routing.sink = sink;
+  Router provider(topology, routing);
+  netsim::WorkloadParams workload = scenario.workload;
+  workload.sink = sink;
+  auto result = netsim::run_traffic(topology, provider, workload, rng);
+  return {std::move(result), provider.stats()};
+}
+
+TEST(LpPivotPath, IncrementalLpAssistStreamIsPinned) {
+  // The greedy-first oracle solves every assist greedy leaves over, so its
+  // pivot path is the one the stream pinned before the residual
+  // certificate existed.
   obs::MetricsRegistry metrics;
   obs::TraceBuffer trace;
-  const auto result = core::run_traffic_trial(scenario, 20240607,
-                                              obs::Sink{&metrics, &trace});
+  const auto result =
+      run_assist_stream<GreedyFirstRouter>(obs::Sink{&metrics, &trace}).first;
   expect_path(read_path(metrics, trace),
               {kStreamSolves, kStreamIterations, kStreamRefactorizations,
                kStreamEtaNonzeros, kStreamObjectiveHash});
+  EXPECT_EQ(result.admitted, kStreamAdmitted);
+}
+
+TEST(LpPivotPath, IncrementalRouterSolvesOnlyUncertifiedAssists) {
+  obs::MetricsRegistry metrics;
+  const auto [result, stats] =
+      run_assist_stream<IncrementalRouter>(obs::Sink{&metrics});
+  EXPECT_EQ(metrics.counter("lp.solves"), kRouterStreamSolves);
+  EXPECT_EQ(stats.warm_solves + stats.cold_solves, kRouterStreamSolves);
+  EXPECT_EQ(stats.residual_skips, kRouterStreamResidualSkips);
+  EXPECT_EQ(metrics.counter("route.incremental.residual"),
+            kRouterStreamResidualSkips);
   EXPECT_EQ(result.admitted, kStreamAdmitted);
 }
 
