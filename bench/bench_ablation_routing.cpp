@@ -13,6 +13,10 @@
 //     speedup is a lower bound. Warm re-solves of a tightened residual
 //     problem are compared against cold re-solves of the same problem.
 //
+// The bench is its own gate: it exits 1 with a FATAL line when any sweep
+// point's warm re-solve takes more iterations than the cold re-solve of
+// the same residual problem.
+//
 // --json emits one record per scaling sweep point in the shared bench
 // envelope — the record schema is stable across commits:
 //   {"grid", "requests", "lp_rows", "lp_cols", "lp_nonzeros",
@@ -146,6 +150,18 @@ int main(int argc, char** argv) {
     for (const int num_requests : {8, 16, 32, 64})
       scaling.push_back(run_scaling_point(grid, num_requests, args.seed(),
                                           dense_budget_ms));
+
+  bool failed = false;
+  for (const auto& r : scaling)
+    if (r.warm_iterations > r.cold_resolve_iterations) {
+      std::fprintf(stderr,
+                   "FATAL: %dx%d grid, %d requests: warm re-solve took %d "
+                   "iterations, cold re-solve of the same residual %d\n",
+                   r.grid, r.grid, r.requests, r.warm_iterations,
+                   r.cold_resolve_iterations);
+      failed = true;
+    }
+  if (failed) return 1;
 
   if (args.json()) {
     std::vector<std::string> records;

@@ -1,7 +1,11 @@
 #include "routing/formulation.h"
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace surfnet::routing {
 
@@ -36,6 +40,37 @@ void RoutingFormulation::set_entanglement_capacity(int fiber,
                                                    double capacity) {
   const int row = entanglement_row(fiber);
   if (row >= 0) lp_.set_rhs(row, capacity);
+}
+
+std::vector<int> RoutingFormulation::min_noise_in_tree(
+    int dst, const std::vector<int>& var_of_edge) const {
+  const Topology& topo = *topology_;
+  SURFNET_EXPECTS(dst >= 0 && dst < topo.num_nodes());
+  const auto nodes = static_cast<std::size_t>(topo.num_nodes());
+  std::vector<double> dist(nodes, std::numeric_limits<double>::infinity());
+  std::vector<int> out_edge(nodes, -1);
+  using Item = std::pair<double, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  dist[static_cast<std::size_t>(dst)] = 0.0;
+  heap.emplace(0.0, dst);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[static_cast<std::size_t>(v)]) continue;
+    for (const int e : topo.incident(v))
+      for (const int de : {2 * e, 2 * e + 1}) {
+        if (edge_head(de) != v || var_of_edge[static_cast<std::size_t>(de)] < 0)
+          continue;
+        const auto u = static_cast<std::size_t>(edge_tail(de));
+        const double nd = d + topo.fiber_noise(e);
+        if (nd < dist[u]) {
+          dist[u] = nd;
+          out_edge[u] = de;
+          heap.emplace(nd, edge_tail(de));
+        }
+      }
+  }
+  return out_edge;
 }
 
 void RoutingFormulation::build(const std::vector<Request>& requests) {
@@ -100,47 +135,67 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
     return out;
   };
 
+  // Crash rows of one request's channel: the source's Eq. (3) out-row and
+  // each switch/server's Eq. (4) conservation row (-1 = none).
+  struct ChannelRows {
+    const std::vector<int>* var_of_edge = nullptr;
+    int src_out = -1;
+    std::vector<int> conservation;
+  };
+  std::vector<ChannelRows> channels(params_.dual_channel ? 2 : 1);
+
   // --- Per-request constraints: Eqs. (3), (4), (6). Rows stream straight
   // into the problem's compressed form; nothing is buffered per row. ---
   for (std::size_t k = 0; k < requests.size(); ++k) {
     const Request& req = requests[k];
     const VarIndex& v = vars_[k];
+    channels.front().var_of_edge = params_.dual_channel ? &v.a : &v.b;
+    channels.back().var_of_edge = &v.b;
+    for (auto& channel : channels)
+      channel.conservation.assign(static_cast<std::size_t>(topo.num_nodes()),
+                                  -1);
 
     auto add_flow_equation = [&](const std::vector<int>& edges,
                                  const std::vector<int>& var_of_edge,
                                  double y_coeff) {
+      const int row = lp_.num_rows();
       lp_.begin_constraint(ConstraintType::Equal, 0.0);
       for (int de : edges) {
         const int var = var_of_edge[static_cast<std::size_t>(de)];
         if (var >= 0) lp_.add_term(var, 1.0);
       }
       lp_.add_term(v.y, y_coeff);
+      return row;
     };
 
     // Eq. 3: inflow(dst) = outflow(src) = n*Y (Core) and m*Y (Support).
     if (params_.dual_channel) {
       add_flow_equation(in_edges(req.dst), v.a, -static_cast<double>(n));
-      add_flow_equation(out_edges(req.src), v.a, -static_cast<double>(n));
+      channels[0].src_out = add_flow_equation(out_edges(req.src), v.a,
+                                              -static_cast<double>(n));
       add_flow_equation(in_edges(req.dst), v.b, -static_cast<double>(m));
-      add_flow_equation(out_edges(req.src), v.b, -static_cast<double>(m));
+      channels[1].src_out = add_flow_equation(out_edges(req.src), v.b,
+                                              -static_cast<double>(m));
     } else {
       add_flow_equation(in_edges(req.dst), v.b,
                         -static_cast<double>(total_qubits));
-      add_flow_equation(out_edges(req.src), v.b,
-                        -static_cast<double>(total_qubits));
+      channels[0].src_out = add_flow_equation(
+          out_edges(req.src), v.b, -static_cast<double>(total_qubits));
     }
 
     // Eq. 4: conservation at switches and servers; server EC coupling.
     for (int node : topo.switches_and_servers()) {
       const auto in = in_edges(node);
       const auto out = out_edges(node);
-      auto add_conservation = [&](const std::vector<int>& var_of_edge) {
+      auto add_conservation = [&](ChannelRows& channel) {
+        const std::vector<int>& var_of_edge = *channel.var_of_edge;
         bool any = false;
         for (int de : in)
           if (var_of_edge[static_cast<std::size_t>(de)] >= 0) any = true;
         for (int de : out)
           if (var_of_edge[static_cast<std::size_t>(de)] >= 0) any = true;
         if (!any) return;
+        channel.conservation[static_cast<std::size_t>(node)] = lp_.num_rows();
         lp_.begin_constraint(ConstraintType::Equal, 0.0);
         for (int de : in) {
           const int var = var_of_edge[static_cast<std::size_t>(de)];
@@ -151,12 +206,13 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
           if (var >= 0) lp_.add_term(var, -1.0);
         }
       };
-      if (params_.dual_channel) add_conservation(v.a);
-      add_conservation(v.b);
+      for (auto& channel : channels) add_conservation(channel);
     }
+    std::vector<int> first_coupling_row(servers_.size());
     for (std::size_t r = 0; r < servers_.size(); ++r) {
       const int node = servers_[r];
       const auto in = in_edges(node);
+      first_coupling_row[r] = lp_.num_rows();
       auto add_coupling = [&](const std::vector<int>& var_of_edge,
                               double qubits) {
         lp_.begin_constraint(ConstraintType::Equal, 0.0);
@@ -210,6 +266,26 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
       ec_terms();
       lp_.add_term(v.y, -params_.total_noise_threshold);
     }
+
+    // Crash basis: along the min-noise in-tree to dst, every tree node's
+    // out-row takes its tree edge; every server's first coupling row takes
+    // x_r.
+    crash_rows_.resize(static_cast<std::size_t>(lp_.num_rows()), -1);
+    const auto tree = min_noise_in_tree(req.dst, v.b);
+    for (const auto& channel : channels)
+      for (int node = 0; node < topo.num_nodes(); ++node) {
+        const int de = tree[static_cast<std::size_t>(node)];
+        if (de < 0) continue;
+        const int row =
+            node == req.src
+                ? channel.src_out
+                : channel.conservation[static_cast<std::size_t>(node)];
+        SURFNET_ASSERT(row >= 0, "tree node %d has no out-row", node);
+        crash_rows_[static_cast<std::size_t>(row)] =
+            (*channel.var_of_edge)[static_cast<std::size_t>(de)];
+      }
+    for (std::size_t r = 0; r < servers_.size(); ++r)
+      crash_rows_[static_cast<std::size_t>(first_coupling_row[r])] = v.x[r];
   }
 
   // --- Shared capacity constraints: Eq. (5). ---
@@ -258,6 +334,7 @@ void RoutingFormulation::build(const std::vector<Request>& requests) {
       }
     }
   }
+  crash_rows_.resize(static_cast<std::size_t>(lp_.num_rows()), -1);
 }
 
 }  // namespace surfnet::routing

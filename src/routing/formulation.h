@@ -86,6 +86,19 @@ class RoutingFormulation {
   void set_storage_capacity(int node, double capacity);
   void set_entanglement_capacity(int fiber, double capacity);
 
+  /// Crash basis for the first solve (simplex.h basis_from_rows): per row,
+  /// the structural column that starts basic there, or -1 to keep the
+  /// row's slack or artificial. Per request and channel it follows the
+  /// min-noise in-tree to the destination (a Dijkstra from dst over the
+  /// request's usable directed edges, weighted by fiber noise): each tree
+  /// switch/server's Eq. (4) conservation row takes its tree out-edge, the
+  /// source's Eq. (3) out-row takes the source's tree edge, and each
+  /// server's first coupling row takes x_r. The basis is block-triangular
+  /// over the tree incidence, hence nonsingular; at zero flow it is primal
+  /// feasible, and its node potentials are the tree's path noises, which
+  /// price every non-tree edge out (Bellman).
+  const std::vector<int>& crash_rows() const { return crash_rows_; }
+
   /// Row of node's Eq. (5) storage constraint, or -1 when the node has
   /// no storage row (no routable in-edges).
   int storage_row(int node) const {
@@ -119,9 +132,14 @@ class RoutingFormulation {
   std::vector<VarIndex> vars_;
   std::vector<int> storage_row_;       ///< per node; -1 = no row
   std::vector<int> entanglement_row_;  ///< per fiber; -1 = no row
+  std::vector<int> crash_rows_;        ///< per row; -1 = slack/artificial
   LpProblem lp_;
 
   void build(const std::vector<netsim::Request>& requests);
+  /// Per node, the directed edge of its min-noise path to dst over the
+  /// edges with var_of_edge >= 0; -1 at dst and off the tree.
+  std::vector<int> min_noise_in_tree(int dst,
+                                     const std::vector<int>& var_of_edge) const;
 };
 
 }  // namespace surfnet::routing

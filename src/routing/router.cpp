@@ -58,11 +58,12 @@ std::vector<int> choose_ec_servers(const Topology& topology,
 RouteResult route(const Topology& topology,
                   const std::vector<Request>& requests,
                   const RoutingParams& params, util::Rng& rng) {
-  SimplexState state;
   RouteResult result;
   for (const auto& r : requests) result.schedule.requested_codes += r.codes;
 
   RoutingFormulation formulation(topology, requests, params);
+  SimplexState state =
+      basis_from_rows(formulation.problem(), formulation.crash_rows());
   const LpSolution lp = solve_lp(formulation.problem(), state, params.sink);
   result.status = lp.status;
   result.cold_iterations = lp.iterations;

@@ -5,12 +5,17 @@
 // the fractional flows into integral per-code paths by flow decomposition,
 // and greedily top the schedule up with any codes the rounding lost.
 //
-// After the first (cold) solve and rounding pass, the router re-solves the
-// LP on the residual problem — request limits tightened to the codes still
+// The first solve starts from the formulation's crash basis, the min-noise
+// in-tree of every request (RoutingFormulation::crash_rows), not from the
+// slack basis: that basis is primal feasible and already holds the node
+// potentials an optimal basis needs, so the primal simplex only routes
+// flow. After it and a rounding pass, the router re-solves the LP on the
+// residual problem — request limits tightened to the codes still
 // unscheduled, capacity right-hand sides to what the committed codes left —
 // and rounds again. The problem keeps its shape across these re-solves, so
-// the SimplexState saved by the cold solve warm-starts each of them; a warm
-// re-solve typically needs a small fraction of the cold iteration count.
+// the SimplexState of the previous solve warm-starts each of them; the
+// shrink leaves that basis dual feasible, and the solver's dual phase
+// re-optimizes it in a few pivots.
 //
 // When the LP cannot be solved (a numerical failure: the relaxation is
 // always feasible and bounded), route() counts "route.greedy_fallbacks"
@@ -29,8 +34,10 @@ struct RouteResult {
   netsim::Schedule schedule;
   LpStatus status = LpStatus::Infeasible;
   double lp_objective = 0.0;  ///< relaxed optimum (upper-bounds throughput)
-  int resolves = 0;           ///< warm re-solves after the cold solve
-  long cold_iterations = 0;   ///< simplex iterations of the first solve
+  int resolves = 0;           ///< warm re-solves after the first solve
+  /// Simplex iterations of the first solve, which starts from the crash
+  /// basis rather than cold.
+  long cold_iterations = 0;
   long warm_iterations = 0;   ///< total iterations across warm re-solves
   bool greedy_fallback = false;  ///< the LP failed; schedule is greedy's
 };

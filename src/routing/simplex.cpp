@@ -30,11 +30,32 @@ constexpr double kDropTol = 1e-11;  ///< entries below this leave the eta file
 constexpr double kRatioTol = 1e-9;  ///< column entries ignored by the ratio test
 constexpr int kRefactorInterval = 64;  ///< pivots between refactorizations
 constexpr int kBlandStreak = 256;   ///< degenerate pivots before Bland's rule
+constexpr int kDualStreak = 64;     ///< degenerate dual pivots before handover
+constexpr double kDualTieTol = 1e-9;  ///< dual ratio slack for |alpha| tie-breaks
+constexpr double kDualCheckTol = 1e-6;  ///< dual-feasibility validator slack
 
 enum VarStatus : signed char { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 /// Per status, the factor that turns an improving reduced cost positive
 /// (d at lower, -d at upper); basic columns never price.
 constexpr double kPriceSign[] = {1.0, -1.0, 0.0};
+
+/// Internal column of each row's slack (inequality rows, numbered from
+/// num_vars() in row order) or artificial (equality rows, numbered after
+/// every slack); returns the internal column count.
+int aux_columns(const LpProblem& problem, std::vector<int>& aux_of_row) {
+  const int m = problem.num_rows();
+  int num_slack = 0;
+  for (int r = 0; r < m; ++r)
+    if (problem.row_type(r) != ConstraintType::Equal) ++num_slack;
+  aux_of_row.resize(static_cast<std::size_t>(m));
+  int slack_cursor = problem.num_vars();
+  int art_cursor = problem.num_vars() + num_slack;
+  for (int r = 0; r < m; ++r)
+    aux_of_row[static_cast<std::size_t>(r)] =
+        problem.row_type(r) == ConstraintType::Equal ? art_cursor++
+                                                     : slack_cursor++;
+  return art_cursor;
+}
 
 /// Bounded-variable revised simplex over the equality form
 ///   maximize c^T x   s.t.   A x (+ slacks) = b,   0 <= x_j <= u_j.
@@ -42,17 +63,96 @@ constexpr double kPriceSign[] = {1.0, -1.0, 0.0};
 /// rows); equality rows get an artificial column fixed at [0, 0]. The basis
 /// inverse is kept as a product-form eta file, rebuilt from scratch every
 /// kRefactorInterval pivots (Gauss-Jordan with partial pivoting over the
-/// current basis columns). Infeasible starting bases — the cold slack basis
-/// with negative right-hand sides as well as warm-started bases whose
-/// bounds shifted — are repaired by a composite phase 1 that minimizes the
-/// total bound violation of the basic variables, so cold and warm solves
-/// share one iteration loop.
+/// current basis columns). An installed basis that is dual feasible but
+/// not primal feasible — a warm re-solve after bounds or right-hand sides
+/// shrank — first runs the dual simplex (dual_phase). Whatever is left
+/// infeasible after that — the cold slack basis with negative right-hand
+/// sides, or a warm basis the dual phase handed over — is repaired by a
+/// composite phase 1 that minimizes the total bound violation of the basic
+/// variables, so every solve ends in, and is certified by, one primal
+/// iteration loop.
 class RevisedSimplex {
  public:
   explicit RevisedSimplex(const LpProblem& problem);
   LpSolution solve(SimplexState& state);
 
  private:
+  /// out -= A^T v over the rows where v is nonzero (nz_ gathered from v),
+  /// from the problem's CSR rows plus each row's slack or artificial
+  /// entry. Each column subtracts its terms in ascending row order, as a
+  /// column-wise dot product would; a skipped term is a_rj * (+-0), which
+  /// can only flip the sign of a zero.
+  void subtract_row_products(const std::vector<double>& v,
+                             std::vector<double>& out) {
+    gather_nonzeros(v);
+    for (const int r : nz_) {
+      const double vr = v[static_cast<std::size_t>(r)];
+      const auto cols = problem_->row_cols(r);
+      const auto coeffs = problem_->row_coeffs(r);
+      for (std::size_t t = 0; t < cols.size(); ++t)
+        out[static_cast<std::size_t>(cols[t])] -= coeffs[t] * vr;
+      const auto aux =
+          static_cast<std::size_t>(row_aux_col_[static_cast<std::size_t>(r)]);
+      out[aux] -= col_val_[static_cast<std::size_t>(col_start_[aux])] * vr;
+    }
+  }
+
+  /// Phase-2 reduced costs d = c - A^T B^{-T} c_B.
+  void compute_reduced_costs() {
+    for (int r = 0; r < m_; ++r)
+      y_[static_cast<std::size_t>(r)] = cost_[static_cast<std::size_t>(
+          basis_[static_cast<std::size_t>(r)])];
+    btran(y_);
+    std::copy(cost_.begin(), cost_.end(), d_.begin());
+    subtract_row_products(y_, d_);
+  }
+
+  /// True when no nonbasic movable column prices in (d > kOptTol at
+  /// lower, d < -kOptTol at upper): the basis is dual feasible.
+  bool dual_feasible() const {
+    for (int j = 0; j < ncols_; ++j) {
+      const auto sj = static_cast<std::size_t>(j);
+      if (kPriceSign[vstat_[sj]] * movable_[sj] * d_[sj] > kOptTol)
+        return false;
+    }
+    return true;
+  }
+
+  /// Row of the largest bound violation among the basic values, with the
+  /// bound it must return to, or -1 when the basis is primal feasible.
+  int most_infeasible_row(bool& to_upper) const {
+    int row = -1;
+    double worst = kFeasTol;
+    for (int r = 0; r < m_; ++r) {
+      const double v = x_basic_[static_cast<std::size_t>(r)];
+      const double u =
+          upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
+      if (-v > worst) {
+        worst = -v;
+        row = r;
+        to_upper = false;
+      } else if (v - u > worst) {
+        worst = v - u;
+        row = r;
+        to_upper = true;
+      }
+    }
+    return row;
+  }
+
+  /// Dual simplex (bounded variables) from an installed basis that is
+  /// dual feasible but not primal feasible. Each pivot takes the row of the
+  /// largest bound violation out at the bound it violates, prices the row
+  /// alpha_r = (B^{-T} e_r)^T A, and enters the column whose reduced cost
+  /// reaches zero first (dual ratio test). Reduced costs update from
+  /// alpha_r and are recomputed after every refactorization. Hands over to
+  /// the primal loop once the basis is primal feasible, when no column can
+  /// enter (the problem is infeasible; primal phase 1 proves it), on a
+  /// pivot below kPivotTol, or after kDualStreak degenerate pivots in a
+  /// row. Returns false when a refactorization found the basis singular.
+  bool dual_phase(long& iterations, long max_iterations,
+                  int& dual_iterations);
+
   void load_column(int j, std::vector<double>& v) const {
     std::fill(v.begin(), v.end(), 0.0);
     for (int k = col_start_[static_cast<std::size_t>(j)];
@@ -105,8 +205,6 @@ class RevisedSimplex {
 
   /// Append work_ (with nz_ gathered) as the eta of a pivot on pivot_row.
   void append_eta(int pivot_row) {
-    eta_pivot_row_.push_back(pivot_row);
-    eta_pivot_val_.push_back(work_[static_cast<std::size_t>(pivot_row)]);
     for (const int i : nz_) {
       if (i == pivot_row) continue;
       const double wv = work_[static_cast<std::size_t>(i)];
@@ -115,13 +213,20 @@ class RevisedSimplex {
         eta_val_.push_back(wv);
       }
     }
-    close_eta();
+    close_eta(pivot_row, work_[static_cast<std::size_t>(pivot_row)]);
   }
 
-  /// Mark the end of the eta whose entries were just appended.
-  void close_eta() {
-    eta_nonzeros_ += static_cast<long>(eta_row_.size()) - eta_start_.back();
-    eta_start_.push_back(static_cast<int>(eta_row_.size()));
+  /// Close the eta whose off-pivot entries were just appended. An identity
+  /// eta (pivot exactly 1.0, no entries) is not stored: FTRAN and BTRAN
+  /// would only divide by 1.0, which leaves every value bitwise as it is.
+  void close_eta(int pivot_row, double pivot) {
+    const int begin = eta_start_.back();
+    const int end = static_cast<int>(eta_row_.size());
+    if (pivot == 1.0 && begin == end) return;
+    eta_pivot_row_.push_back(pivot_row);
+    eta_pivot_val_.push_back(pivot);
+    eta_nonzeros_ += end - begin;
+    eta_start_.push_back(end);
   }
 
   /// Rebuild the eta file for the current basis from scratch. A triangular
@@ -234,8 +339,6 @@ class RevisedSimplex {
           pivot = fac_val_[static_cast<std::size_t>(t)];
       if (std::abs(pivot) <= 1e-10) continue;  // leave it for the bump
 
-      eta_pivot_row_.push_back(r);
-      eta_pivot_val_.push_back(pivot);
       for (int t = fac_col_start_[static_cast<std::size_t>(k)];
            t < fac_col_start_[static_cast<std::size_t>(k) + 1]; ++t) {
         const int r2 = fac_row_[static_cast<std::size_t>(t)];
@@ -246,13 +349,31 @@ class RevisedSimplex {
             --fac_row_live_[static_cast<std::size_t>(r2)] == 1)
           fac_queue_.push_back(r2);
       }
-      close_eta();
+      close_eta(r, pivot);
       fac_col_alive_[static_cast<std::size_t>(k)] = 0;
       taken[static_cast<std::size_t>(r)] = 1;
       new_basis[static_cast<std::size_t>(r)] = basis_[static_cast<std::size_t>(k)];
     }
 
-    // --- Bump phase: Gauss-Jordan over whatever the ordering left. ---
+    // --- Bump phase. Slack and artificial columns go first: their row
+    // cannot be taken yet (it would have had two live columns), and every
+    // eta so far skips a unit vector, so each pivots on its own row with an
+    // eta of +-1 and no entries. Gauss-Jordan with partial pivoting then
+    // covers only the structural columns the ordering left. ---
+    for (int k = 0; k < m_; ++k) {
+      const int j = basis_[static_cast<std::size_t>(k)];
+      if (!fac_col_alive_[static_cast<std::size_t>(k)] || j < nstruct_)
+        continue;
+      const auto slot = static_cast<std::size_t>(
+          col_start_[static_cast<std::size_t>(j)]);
+      const int r = col_row_[slot];
+      SURFNET_ASSERT(!taken[static_cast<std::size_t>(r)],
+                     "unit column %d meets taken row %d", j, r);
+      close_eta(r, col_val_[slot]);
+      fac_col_alive_[static_cast<std::size_t>(k)] = 0;
+      taken[static_cast<std::size_t>(r)] = 1;
+      new_basis[static_cast<std::size_t>(r)] = j;
+    }
     for (int k = 0; k < m_; ++k) {
       if (!fac_col_alive_[static_cast<std::size_t>(k)]) continue;
       const int j = basis_[static_cast<std::size_t>(k)];
@@ -408,6 +529,25 @@ class RevisedSimplex {
 #endif
   }
 
+  /// Debug validator (SURFNET_CHECKS): on dual-phase exit every nonbasic
+  /// movable column's reduced cost, recomputed from a fresh BTRAN, still
+  /// has its dual-feasible sign (<= 0 at lower, >= 0 at upper). A dual
+  /// pivot that broke dual feasibility would let the hand-over start the
+  /// primal loop from a basis the dual ratio test should never produce.
+  void check_dual_feasibility() {
+#if SURFNET_CHECKS
+    compute_reduced_costs();
+    for (int j = 0; j < ncols_; ++j) {
+      const auto sj = static_cast<std::size_t>(j);
+      SURFNET_ASSERT(kPriceSign[vstat_[sj]] * movable_[sj] * d_[sj] <=
+                         kDualCheckTol,
+                     "dual phase left column %d (status %d) with reduced "
+                     "cost %g",
+                     j, vstat_[sj], d_[sj]);
+    }
+#endif
+  }
+
   void save_state(SimplexState& state) const {
     state.basis.assign(basis_.begin(), basis_.end());
     state.at_upper.assign(static_cast<std::size_t>(ncols_), 0);
@@ -452,6 +592,15 @@ class RevisedSimplex {
   std::vector<int> nz_;       ///< ascending nonzero rows of y_ or work_
   std::vector<double> y_;     ///< dense row-sized scratch (BTRAN target)
   std::vector<double> d_;     ///< reduced costs, one per internal column
+  std::vector<double> alpha_; ///< dual phase: pivot row of B^{-1} A
+  /// Dual phase: columns the ratio test may enter, with their signed pivot
+  /// row entry a > 0 and reduced-cost gap to zero.
+  struct DualCandidate {
+    int col;
+    double a;
+    double gap;
+  };
+  std::vector<DualCandidate> candidates_;
   std::vector<double> movable_;  ///< 0 where the upper bound is <= 0, else 1
 
   // Refactorization scratch (rebuilt each refactorize; kept as members so
@@ -467,15 +616,7 @@ class RevisedSimplex {
 RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   m_ = problem.num_rows();
   nstruct_ = problem.num_vars();
-
-  int num_slack = 0, num_artificial = 0;
-  for (int r = 0; r < m_; ++r) {
-    if (problem.row_type(r) == ConstraintType::Equal)
-      ++num_artificial;
-    else
-      ++num_slack;
-  }
-  ncols_ = nstruct_ + num_slack + num_artificial;
+  ncols_ = aux_columns(problem, row_aux_col_);
 
   // Transpose the problem's CSR rows into CSC structural columns.
   const int nnz = problem.num_nonzeros();
@@ -491,7 +632,8 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
     col_start_[static_cast<std::size_t>(j) + 1] =
         col_start_[static_cast<std::size_t>(j)] + 1;
 
-  col_row_.resize(static_cast<std::size_t>(nnz) + static_cast<std::size_t>(num_slack + num_artificial));
+  col_row_.resize(static_cast<std::size_t>(nnz) +
+                  static_cast<std::size_t>(ncols_ - nstruct_));
   col_val_.resize(col_row_.size());
   std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
   for (int r = 0; r < m_; ++r) {
@@ -513,39 +655,22 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem) : problem_(&problem) {
   }
 
   b_.resize(static_cast<std::size_t>(m_));
-  row_aux_col_.resize(static_cast<std::size_t>(m_));
-  int slack_cursor = nstruct_;
-  int art_cursor = nstruct_ + num_slack;
   for (int r = 0; r < m_; ++r) {
     b_[static_cast<std::size_t>(r)] = problem.rhs(r);
-    int aux;
-    double coeff;
-    switch (problem.row_type(r)) {
-      case ConstraintType::LessEqual:
-        aux = slack_cursor++;
-        coeff = 1.0;
-        break;
-      case ConstraintType::GreaterEqual:
-        aux = slack_cursor++;
-        coeff = -1.0;
-        break;
-      case ConstraintType::Equal:
-      default:
-        aux = art_cursor++;
-        coeff = 1.0;
-        upper_[static_cast<std::size_t>(aux)] = 0.0;  // fixed at zero
-        break;
-    }
+    const int aux = row_aux_col_[static_cast<std::size_t>(r)];
     const auto slot =
         static_cast<std::size_t>(col_start_[static_cast<std::size_t>(aux)]);
     col_row_[slot] = r;
-    col_val_[slot] = coeff;
-    row_aux_col_[static_cast<std::size_t>(r)] = aux;
+    col_val_[slot] =
+        problem.row_type(r) == ConstraintType::GreaterEqual ? -1.0 : 1.0;
+    if (problem.row_type(r) == ConstraintType::Equal)
+      upper_[static_cast<std::size_t>(aux)] = 0.0;  // artificial: fixed at 0
   }
 
   x_basic_.resize(static_cast<std::size_t>(m_));
   work_.resize(static_cast<std::size_t>(m_));
   d_.resize(static_cast<std::size_t>(ncols_));
+  alpha_.resize(static_cast<std::size_t>(ncols_));
   movable_.resize(static_cast<std::size_t>(ncols_));
   for (std::size_t j = 0; j < movable_.size(); ++j)
     movable_[j] = upper_[j] <= 0.0 ? 0.0 : 1.0;
@@ -575,13 +700,15 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
 
   const long max_iterations = 4096 + 32L * (m_ + nstruct_);
   long iterations = 0;
+  const bool singular =
+      warm && !dual_phase(iterations, max_iterations, solution.dual_iterations);
   int degenerate_streak = 0;
   bool bland = false;
   std::vector<char> banned(static_cast<std::size_t>(ncols_), 0);
   std::vector<int> banned_list;
 
   for (;;) {
-    if (iterations >= max_iterations) {
+    if (singular || iterations >= max_iterations) {
       solution.status = LpStatus::IterationLimit;
       break;
     }
@@ -610,27 +737,13 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
 
     btran(y_);  // y = B^{-T} c_B, the basic costs of the current phase
 
-    // Reduced costs d = c - A^T y, accumulated row by row from the
-    // problem's CSR rows (plus each row's slack or artificial entry) over
-    // the rows with y_r != 0. Each column still subtracts its terms in
-    // ascending row order, exactly as a column-wise dot product would; the
-    // skipped terms are a_rj * (+-0), which can only flip the sign of a
-    // zero reduced cost, and no test below sees that sign.
+    // Reduced costs d = c - A^T y, accumulated row by row over the rows
+    // with y_r != 0; no test below sees the sign of a zero.
     if (phase1)
       std::fill(d_.begin(), d_.end(), 0.0);
     else
       std::copy(cost_.begin(), cost_.end(), d_.begin());
-    gather_nonzeros(y_);
-    for (const int r : nz_) {
-      const double yr = y_[static_cast<std::size_t>(r)];
-      const auto cols = problem_->row_cols(r);
-      const auto coeffs = problem_->row_coeffs(r);
-      for (std::size_t t = 0; t < cols.size(); ++t)
-        d_[static_cast<std::size_t>(cols[t])] -= coeffs[t] * yr;
-      const auto aux =
-          static_cast<std::size_t>(row_aux_col_[static_cast<std::size_t>(r)]);
-      d_[aux] -= col_val_[static_cast<std::size_t>(col_start_[aux])] * yr;
-    }
+    subtract_row_products(y_, d_);
 
     // Pricing: Dantzig (largest reduced cost) normally, Bland (first
     // eligible index) while a degenerate streak threatens to cycle.
@@ -810,7 +923,135 @@ LpSolution RevisedSimplex::solve(SimplexState& state) {
   return solution;
 }
 
+bool RevisedSimplex::dual_phase(long& iterations, long max_iterations,
+                                int& dual_iterations) {
+  bool to_upper = false;
+  int row = most_infeasible_row(to_upper);
+  if (row < 0) return true;
+  compute_reduced_costs();
+  if (!dual_feasible()) return true;
+
+  int degenerate_streak = 0;
+  for (; row >= 0 && iterations < max_iterations;
+       row = most_infeasible_row(to_upper)) {
+    // Pivot row alpha_r = (B^{-T} e_r)^T A. BTRAN runs on -e_r, so the
+    // row products' subtraction leaves +alpha_r.
+    std::fill(y_.begin(), y_.end(), 0.0);
+    y_[static_cast<std::size_t>(row)] = -1.0;
+    btran(y_);
+    std::fill(alpha_.begin(), alpha_.end(), 0.0);
+    subtract_row_products(y_, alpha_);
+
+    // The leaving value rises back to 0 (s = 1) or falls to its upper
+    // bound (s = -1). A nonbasic column can enter when moving it off its
+    // bound pushes the leaving value that way: s * alpha_j < 0 at lower,
+    // > 0 at upper. Its reduced cost reaches zero after a dual step of
+    // |d_j| / |alpha_j|; the smallest step keeps every other column dual
+    // feasible. Near-ties (within kDualTieTol of reduced cost) go to the
+    // largest |alpha_j|, the most stable pivot. Basic columns (price sign
+    // 0) and fixed ones (movable 0) get a = +-0 and never enter.
+    const double s = to_upper ? -1.0 : 1.0;
+    candidates_.clear();
+    double bound = kInf;
+    for (int j = 0; j < ncols_; ++j) {
+      const auto sj = static_cast<std::size_t>(j);
+      const double sign = kPriceSign[vstat_[sj]];
+      const double a = -sign * s * movable_[sj] * alpha_[sj];
+      if (!(a > kPivotTol)) continue;
+      const double gap = std::max(0.0, -sign * d_[sj]);
+      bound = std::min(bound, (gap + kDualTieTol) / a);
+      candidates_.push_back({j, a, gap});
+    }
+    if (!std::isfinite(bound)) break;  // dual unbounded: primal infeasible
+    int entering = -1;
+    double entering_a = 0.0, entering_gap = 0.0;
+    for (const auto& c : candidates_)
+      if (c.gap / c.a <= bound && c.a > entering_a) {
+        entering = c.col;
+        entering_a = c.a;
+        entering_gap = c.gap;
+      }
+
+    load_column(entering, work_);
+    ftran(work_);
+    gather_nonzeros(work_);
+    const double pivot = work_[static_cast<std::size_t>(row)];
+    if (std::abs(pivot) < kPivotTol) break;
+
+    // Primal step: the entering value moves until the leaving one sits on
+    // its bound.
+    const int leaving = basis_[static_cast<std::size_t>(row)];
+    const double u = upper_[static_cast<std::size_t>(leaving)];
+    const double step =
+        (x_basic_[static_cast<std::size_t>(row)] - (to_upper ? u : 0.0)) /
+        pivot;
+    for (const int i : nz_)
+      x_basic_[static_cast<std::size_t>(i)] -=
+          work_[static_cast<std::size_t>(i)] * step;
+    x_basic_[static_cast<std::size_t>(row)] =
+        (vstat_[static_cast<std::size_t>(entering)] == kAtUpper
+             ? upper_[static_cast<std::size_t>(entering)]
+             : 0.0) +
+        step;
+
+    // Dual step: d -= theta * alpha_r zeroes the entering reduced cost.
+    const double theta =
+        entering_gap > 0.0 ? d_[static_cast<std::size_t>(entering)] /
+                                 alpha_[static_cast<std::size_t>(entering)]
+                           : 0.0;
+    if (theta != 0.0)
+      for (int j = 0; j < ncols_; ++j)
+        d_[static_cast<std::size_t>(j)] -=
+            theta * alpha_[static_cast<std::size_t>(j)];
+    d_[static_cast<std::size_t>(entering)] = 0.0;
+    d_[static_cast<std::size_t>(leaving)] = -theta;
+
+    vstat_[static_cast<std::size_t>(leaving)] =
+        to_upper && std::isfinite(u) && u > 0.0 ? kAtUpper : kAtLower;
+    basis_[static_cast<std::size_t>(row)] = entering;
+    vstat_[static_cast<std::size_t>(entering)] = kBasic;
+    append_eta(row);
+    ++iterations;
+    ++dual_iterations;
+    if (++pivots_since_refactor_ >= kRefactorInterval) {
+      if (!refactorize()) return false;
+      compute_basic_values();
+      compute_reduced_costs();
+    }
+    degenerate_streak = theta == 0.0 ? degenerate_streak + 1 : 0;
+    if (degenerate_streak >= kDualStreak) break;
+  }
+  check_dual_feasibility();
+  return true;
+}
+
 }  // namespace
+
+SimplexState basis_from_rows(const LpProblem& problem,
+                             std::span<const int> structural_per_row) {
+  const int m = problem.num_rows();
+  if (static_cast<int>(structural_per_row.size()) != m)
+    throw std::invalid_argument(
+        "basis_from_rows: one entry per row required");
+  SimplexState state;
+  state.num_rows = m;
+  state.num_cols = aux_columns(problem, state.basis);
+  std::vector<char> used(static_cast<std::size_t>(problem.num_vars()), 0);
+  for (int r = 0; r < m; ++r) {
+    const int j = structural_per_row[static_cast<std::size_t>(r)];
+    if (j == -1) continue;  // keep the row's slack or artificial
+    if (j < -1 || j >= problem.num_vars())
+      throw std::invalid_argument(
+          "basis_from_rows: structural column out of range");
+    if (used[static_cast<std::size_t>(j)])
+      throw std::invalid_argument(
+          "basis_from_rows: structural column in two rows");
+    used[static_cast<std::size_t>(j)] = 1;
+    state.basis[static_cast<std::size_t>(r)] = j;
+  }
+  state.at_upper.assign(static_cast<std::size_t>(state.num_cols), 0);
+  return state;
+}
 
 LpSolution solve_lp(const LpProblem& problem) {
   SimplexState state;
@@ -834,6 +1075,7 @@ LpSolution solve_lp(const LpProblem& problem, SimplexState& state,
   if (sink.metrics) {
     sink.metrics->count("lp.solves");
     sink.metrics->count("lp.iterations", solution.iterations);
+    sink.metrics->count("lp.dual_iterations", solution.dual_iterations);
     sink.metrics->count("lp.refactorizations", solution.refactorizations);
     sink.metrics->count("lp.eta_nonzeros", solution.eta_nonzeros);
     if (solution.warm_started) sink.metrics->count("lp.warm_starts");

@@ -1,8 +1,9 @@
 #pragma once
 
-// Sparse revised primal simplex for the SurfNet routing protocol (paper
-// Sec. V-A): the integer program of Eqs. (1)-(6) is solved as its LP
-// relaxation and rounded, exactly as the paper's evaluation does.
+// Sparse revised simplex (primal, with a dual phase) for the SurfNet
+// routing protocol (paper Sec. V-A): the integer program of Eqs. (1)-(6) is
+// solved as its LP relaxation and rounded, exactly as the paper's
+// evaluation does.
 //
 // The solver maximizes c^T x subject to mixed <= / >= / = constraints and
 // 0 <= x <= u. Unlike the original dense tableau (kept as a test oracle in
@@ -16,26 +17,44 @@
 // the massively degenerate network-flow LPs the scheduler produces.
 //
 // Per-pivot work follows nonzeros, not the row or column count: reduced
-// costs are accumulated row by row over the CSR rows whose dual y_r is
-// nonzero, and the ratio test, x_B update and eta append walk one
-// ascending nonzero-row list of the FTRAN result.
+// costs and the dual phase's pivot row are accumulated row by row over
+// the CSR rows whose BTRAN entry is nonzero, and the ratio test, x_B
+// update and eta append walk one ascending nonzero-row list of the FTRAN
+// result. Identity etas (pivot exactly 1.0, no off-pivot entries: mostly
+// slacks) are never stored, and a refactorization pivots the bump's slack
+// and artificial columns before its Gauss-Jordan pass over the structural
+// ones.
 //
-// Exactness invariant: those sparse kernels skip only terms that are
-// exactly +-0, and every floating-point operation that decides a pivot
-// runs on the same operands in the same order as the plain dense loops
-// (column-wise pricing, full-length ratio test and update). A skipped term
-// can only flip the sign of a zero, which no comparison sees. So the pivot
-// path, the refactorization count, the eta file and the returned
-// LpSolution are bitwise those of the dense loops; the routing_tests case
-// LpPivotPath (tests/routing/lp_pivot_path_test.cpp) pins the solve,
-// pivot, refactorization and eta-entry totals and every objective's bits
-// over the Fig. 6(a)/7 batch scenarios and an incremental LP-assist stream.
+// Pivot sequence: a solve runs the primal simplex from the slack basis
+// (cold) or from an installed basis. When the installed basis is dual
+// feasible but not primal feasible — every warm re-solve after bounds or
+// right-hand sides shrank — a dual simplex phase runs first and hands over
+// to the primal loop once the basis is primal feasible, when no column can
+// enter (the primal phase 1 then reports Infeasible), on a pivot below
+// tolerance or after a long degenerate streak. The primal loop certifies
+// every result.
+//
+// Exactness invariant: for a given pivot sequence the sparse kernels skip
+// only terms that are exactly +-0 (or identity etas, which divide by 1.0),
+// and every floating-point operation that decides a pivot runs on the same
+// operands in the same order as the plain dense loops (column-wise
+// pricing, full-length ratio test and update). A skipped term can only
+// flip the sign of a zero, which no comparison sees. So the pivot path,
+// the refactorization count, the eta file and the returned LpSolution are
+// fixed bit for bit; the routing_tests case LpPivotPath
+// (tests/routing/lp_pivot_path_test.cpp) pins the solve, pivot,
+// refactorization and eta-entry totals and every objective's bits over the
+// Fig. 6(a)/7 batch scenarios and an incremental LP-assist stream.
 //
 // Warm starts: a SimplexState snapshots the basis between solves. Passing
 // the state of a previous solve of a same-shaped problem (same rows and
 // columns; bounds and right-hand sides may differ) restarts from that
-// basis, which typically re-optimizes in a handful of pivots. route()
-// threads one state through its rounding re-solves.
+// basis, which typically re-optimizes in a handful of dual pivots.
+// basis_from_rows builds a state from a caller's crash basis instead:
+// route() starts its first solve from the formulation's min-noise tree
+// basis (RoutingFormulation::crash_rows) and threads the state through its
+// rounding re-solves. A crash start installs like any warm state, so it
+// counts as warm_started and in "lp.warm_starts".
 
 #include <cstdint>
 #include <limits>
@@ -156,11 +175,12 @@ struct LpSolution {
   LpStatus status = LpStatus::Infeasible;
   std::vector<double> x;
   double objective = 0.0;
-  int iterations = 0;        ///< simplex pivots + bound flips, both phases
+  int iterations = 0;        ///< simplex pivots + bound flips, every phase
+  int dual_iterations = 0;   ///< dual-phase pivots (included in iterations)
   int refactorizations = 0;  ///< basis rebuilds (periodic + recovery + final)
   long eta_nonzeros = 0;     ///< off-pivot entries appended to the eta file,
                              ///< refactorizations included
-  bool warm_started = false; ///< a prior basis was installed successfully
+  bool warm_started = false; ///< a prior or crash basis was installed
 };
 
 /// Reusable basis snapshot for warm-started re-solves. Opaque to callers:
@@ -180,6 +200,16 @@ struct SimplexState {
   }
 };
 
+/// Warm-start state whose basis holds structural column
+/// structural_per_row[r] in row r, or row r's own slack or artificial
+/// where the entry is -1; every nonbasic column starts at its lower bound.
+/// The slack/artificial column layout stays internal to the solver. Throws
+/// std::invalid_argument on a size mismatch, a column outside
+/// [-1, num_vars()) or a column named in two rows. A singular basis is not
+/// an error: solve_lp then falls back to the slack basis.
+SimplexState basis_from_rows(const LpProblem& problem,
+                             std::span<const int> structural_per_row);
+
 /// Solve from scratch (cold start).
 LpSolution solve_lp(const LpProblem& problem);
 
@@ -189,7 +219,8 @@ LpSolution solve_lp(const LpProblem& problem, SimplexState& state);
 
 /// Observed solve: additionally times the solve into the sink's metrics
 /// ("lp.solve_seconds", counters "lp.solves" / "lp.iterations" /
-/// "lp.refactorizations" / "lp.eta_nonzeros" / "lp.warm_starts") and
+/// "lp.dual_iterations" / "lp.refactorizations" / "lp.eta_nonzeros" /
+/// "lp.warm_starts") and
 /// records one lp_solve trace event. A null sink behaves exactly like the
 /// overload above.
 LpSolution solve_lp(const LpProblem& problem, SimplexState& state,

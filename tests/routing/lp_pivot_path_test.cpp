@@ -1,25 +1,30 @@
 // Exact work-counter pin of the simplex pivot path.
 //
-// The revised simplex's per-pivot kernels are written so that every
-// floating-point operation that decides a pivot runs on the same operands
-// in the same order as the plain dense loops they replaced. The pivot
-// path, the refactorization count, the eta file and the returned
-// LpSolution are therefore bitwise fixed, and this test pins them: it
-// routes the six Fig. 6(a)/7 scenarios over Barabasi-Albert networks
-// drawn exactly as core::run_trial draws them (both the SurfNet and the
-// Raw formulation), plus one dynamic-traffic stream whose greedy-first
-// oracle router (tests/support) consults the LP assist on every admit
-// greedy cannot serve, and compares the summed solver counters, the
-// scheduled codes and a hash of every solve's objective bits with
-// constants recorded before the kernels were rewritten. Any change that
-// moves a single pivot fails here; a change that is meant to move pivots
-// must re-record the constants and justify every admit and block delta.
-// The shipped IncrementalRouter skips the assists its residual certificate
-// rules out, so its own solve count on the same stream is pinned apart.
+// The solver's pivot sequence is deterministic: route()'s first solve
+// runs the primal simplex from the formulation's min-noise crash basis,
+// and every warm re-solve runs the dual phase from the previous optimal
+// basis before the primal loop certifies the result. The per-pivot
+// kernels skip only exact zeros and identity etas, so for that sequence
+// the refactorization count, the eta file and the returned LpSolution are
+// bitwise fixed, and this test pins them: it routes the six Fig. 6(a)/7
+// scenarios over Barabasi-Albert networks drawn exactly as core::run_trial
+// draws them (both the SurfNet and the Raw formulation), plus one
+// dynamic-traffic stream whose greedy-first oracle router (tests/support)
+// consults the LP assist on every admit greedy cannot serve, and compares
+// the summed solver counters, the scheduled codes and a hash of every
+// solve's objective bits with recorded constants. Any change that moves a
+// single pivot fails here; a change that is meant to move pivots must
+// re-record the work constants and hashes and justify every scheduled-code,
+// admit and block delta. The shipped IncrementalRouter skips the assists
+// its residual certificate rules out, so its own solve count on the same
+// stream is pinned apart.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,28 +33,31 @@
 #include "netsim/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "routing/formulation.h"
 #include "routing/incremental.h"
 #include "routing/router.h"
+#include "routing/simplex.h"
 #include "support/greedy_first_router.h"
 #include "util/rng.h"
 
 namespace surfnet::routing {
 namespace {
 
-// Recorded with the dense per-pivot loops, before the sparse kernels.
-constexpr std::int64_t kBatchSolves = 461;
-constexpr std::int64_t kBatchIterations = 38039;
-constexpr std::int64_t kBatchRefactorizations = 1277;
-constexpr std::int64_t kBatchEtaNonzeros = 2118850;
-constexpr std::uint64_t kBatchObjectiveHash = 0x5e0685b273007096ULL;
+// Recorded with the crash-started first solve, the dual re-solve phase and
+// the unit-column-first refactorization.
+constexpr std::int64_t kBatchSolves = 462;
+constexpr std::int64_t kBatchIterations = 13743;
+constexpr std::int64_t kBatchRefactorizations = 922;
+constexpr std::int64_t kBatchEtaNonzeros = 1298445;
+constexpr std::uint64_t kBatchObjectiveHash = 0x46f6b49fa632d7dcULL;
 constexpr long long kBatchScheduledCodes = 2096;
 
 constexpr int kStreamRequests = 3000;
 constexpr std::int64_t kStreamSolves = 1622;
-constexpr std::int64_t kStreamIterations = 9028;
-constexpr std::int64_t kStreamRefactorizations = 2217;
-constexpr std::int64_t kStreamEtaNonzeros = 785490;
-constexpr std::uint64_t kStreamObjectiveHash = 0x9fe6d075b858d16aULL;
+constexpr std::int64_t kStreamIterations = 5192;
+constexpr std::int64_t kStreamRefactorizations = 2219;
+constexpr std::int64_t kStreamEtaNonzeros = 573549;
+constexpr std::uint64_t kStreamObjectiveHash = 0x71a695e82c5053beULL;
 constexpr long long kStreamAdmitted = 254;
 // The same stream through IncrementalRouter: LP solves it still runs and
 // assists its residual certificate rejected without one.
@@ -100,10 +108,10 @@ void expect_path(const PivotPath& got, const PivotPath& want) {
       << "objective hash 0x" << std::hex << got.objective_hash;
 }
 
-TEST(LpPivotPath, BatchRouteLpOverTheFigureScenariosIsPinned) {
-  obs::MetricsRegistry metrics;
-  obs::TraceBuffer trace;
-  long long scheduled = 0;
+/// Calls visit(topology, requests, params, rng) for every batch scenario:
+/// the six Fig. 6(a)/7 scenarios x {SurfNet, Raw} x seeds 1..20.
+template <typename Visit>
+void for_each_batch_scenario(Visit&& visit) {
   for (const auto level :
        {core::FacilityLevel::Abundant, core::FacilityLevel::Sufficient,
         core::FacilityLevel::Insufficient})
@@ -120,14 +128,47 @@ TEST(LpPivotPath, BatchRouteLpOverTheFigureScenariosIsPinned) {
               scenario.max_codes_per_request, rng);
           RoutingParams params = scenario.routing;
           params.dual_channel = dual_channel;
-          params.sink = obs::Sink{&metrics, &trace};
-          const auto routed = route(topology, requests, params, rng);
-          scheduled += routed.schedule.scheduled_codes();
+          visit(topology, requests, params, rng);
         }
+}
+
+TEST(LpPivotPath, BatchRouteLpOverTheFigureScenariosIsPinned) {
+  obs::MetricsRegistry metrics;
+  obs::TraceBuffer trace;
+  long long scheduled = 0;
+  for_each_batch_scenario([&](const netsim::Topology& topology,
+                              const std::vector<netsim::Request>& requests,
+                              RoutingParams params, util::Rng& rng) {
+    params.sink = obs::Sink{&metrics, &trace};
+    scheduled += route(topology, requests, params, rng)
+                     .schedule.scheduled_codes();
+  });
   expect_path(read_path(metrics, trace),
               {kBatchSolves, kBatchIterations, kBatchRefactorizations,
                kBatchEtaNonzeros, kBatchObjectiveHash});
   EXPECT_EQ(scheduled, kBatchScheduledCodes);
+}
+
+TEST(LpPivotPath, CrashStartReachesTheSlackBasisOptimum) {
+  // The min-noise crash basis must install (it is nonsingular) and lead
+  // the primal simplex to the optimum a slack-basis start reaches.
+  int solves = 0;
+  for_each_batch_scenario([&](const netsim::Topology& topology,
+                              const std::vector<netsim::Request>& requests,
+                              const RoutingParams& params, util::Rng&) {
+    const RoutingFormulation formulation(topology, requests, params);
+    SimplexState crash =
+        basis_from_rows(formulation.problem(), formulation.crash_rows());
+    const LpSolution crashed = solve_lp(formulation.problem(), crash);
+    const LpSolution slack = solve_lp(formulation.problem());
+    ASSERT_EQ(crashed.status, LpStatus::Optimal);
+    ASSERT_EQ(slack.status, LpStatus::Optimal);
+    EXPECT_TRUE(crashed.warm_started);
+    EXPECT_NEAR(crashed.objective, slack.objective,
+                1e-9 * std::max(1.0, std::abs(slack.objective)));
+    ++solves;
+  });
+  EXPECT_EQ(solves, 240);
 }
 
 /// bench_traffic's rate2.0_n24 cell, shortened: the greedy fast path

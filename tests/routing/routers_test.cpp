@@ -192,7 +192,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RouterPropertyTest,
 TEST(LpRouter, WarmResolveStatsAreConsistent) {
   // The router re-solves the residual LP from the saved basis at most
   // twice; when it does, a warm re-solve must cost (on average) fewer
-  // simplex iterations than the cold solve it descends from.
+  // simplex iterations than the crash-started first solve it descends from.
   int observed_resolves = 0;
   for (const unsigned seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
     util::Rng rng(seed);

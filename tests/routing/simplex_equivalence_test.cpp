@@ -1,3 +1,6 @@
+#include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "netsim/schedule.h"
@@ -16,12 +19,14 @@
 namespace surfnet::routing {
 namespace {
 
-void expect_equivalent(const LpProblem& lp, const std::string& label) {
-  const LpSolution sparse = solve_lp(lp);
+/// `sparse`, a solve of `lp`, against the dense oracle: same status and,
+/// when Optimal, the same objective within `tolerance` at a feasible point.
+void expect_matches_dense(const LpProblem& lp, const LpSolution& sparse,
+                          const std::string& label, double tolerance = 1e-6) {
   const LpSolution dense = solve_lp_dense(lp);
   ASSERT_EQ(sparse.status, dense.status) << label;
   if (sparse.status != LpStatus::Optimal) return;
-  EXPECT_NEAR(sparse.objective, dense.objective, 1e-6) << label;
+  EXPECT_NEAR(sparse.objective, dense.objective, tolerance) << label;
   // The sparse point must itself be feasible.
   for (int r = 0; r < lp.num_rows(); ++r) {
     const auto cols = lp.row_cols(r);
@@ -46,6 +51,10 @@ void expect_equivalent(const LpProblem& lp, const std::string& label) {
     EXPECT_LE(sparse.x[static_cast<std::size_t>(v)],
               lp.upper_bound(v) + 1e-5);
   }
+}
+
+void expect_equivalent(const LpProblem& lp, const std::string& label) {
+  expect_matches_dense(lp, solve_lp(lp), label);
 }
 
 TEST(SimplexEquivalence, RandomMixedConstraintProblems) {
@@ -111,6 +120,115 @@ TEST(SimplexEquivalence, RandomProblemsWithNegativeCoefficients) {
     expect_equivalent(lp, "trial " + std::to_string(trial));
   }
   EXPECT_GT(optimal, 10);  // the suite must not be vacuously infeasible
+}
+
+/// Random packing LP: LE rows with positive coefficients and right-hand
+/// sides (the origin is feasible), mixed-sign costs, finite upper bounds,
+/// and a last column, the probe, that only consumes capacity at a cost:
+/// its optimal reduced cost is <= -1, so it ends nonbasic at zero.
+LpProblem random_packing_lp(util::Rng& rng) {
+  LpProblem lp;
+  const int nv = 3 + static_cast<int>(rng.below(8));
+  for (int v = 0; v < nv; ++v)
+    lp.add_variable(rng.uniform(-0.5, 2.0), rng.uniform(1.0, 6.0));
+  const int probe = lp.add_variable(-1.0);
+  const int rows = 2 + static_cast<int>(rng.below(7));
+  for (int r = 0; r < rows; ++r) {
+    lp.begin_constraint(ConstraintType::LessEqual, rng.uniform(2.0, 9.0));
+    for (int v = 0; v < nv; ++v)
+      if (rng.bernoulli(0.6)) lp.add_term(v, rng.uniform(0.1, 2.0));
+    lp.add_term(probe, 1.0);
+  }
+  return lp;
+}
+
+/// Cut every right-hand side and finite upper bound to a random fraction:
+/// the origin stays feasible, the previous optimum often does not.
+void shrink(LpProblem& lp, util::Rng& rng) {
+  for (int r = 0; r < lp.num_rows(); ++r)
+    lp.set_rhs(r, lp.rhs(r) * rng.uniform(0.2, 0.9));
+  for (int v = 0; v < lp.num_vars(); ++v)
+    if (std::isfinite(lp.upper_bound(v)))
+      lp.set_upper_bound(v, lp.upper_bound(v) * rng.uniform(0.2, 0.9));
+}
+
+TEST(SimplexEquivalence, DualReSolveAfterFeasibleShrinkMatchesColdAndDense) {
+  // A shrink keeps the optimal basis dual feasible, so the warm re-solve
+  // runs the dual phase; it must land on the cold solve's and the dense
+  // oracle's optimum.
+  util::Rng rng(4242);
+  long dual_pivots = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    LpProblem lp = random_packing_lp(rng);
+    SimplexState state;
+    ASSERT_EQ(solve_lp(lp, state).status, LpStatus::Optimal);
+    shrink(lp, rng);
+    const LpSolution warm = solve_lp(lp, state);
+    const LpSolution cold = solve_lp(lp);
+    const std::string label = "trial " + std::to_string(trial);
+    ASSERT_EQ(warm.status, LpStatus::Optimal) << label;
+    EXPECT_TRUE(warm.warm_started) << label;
+    EXPECT_LE(warm.dual_iterations, warm.iterations) << label;
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << label;
+    expect_matches_dense(lp, warm, label);
+    dual_pivots += warm.dual_iterations;
+  }
+  EXPECT_GT(dual_pivots, 0);
+}
+
+TEST(SimplexEquivalence, DualReSolveDetectsShrinkToInfeasible) {
+  // A >= floor no variable can meet once every upper bound drops to zero:
+  // the dual phase runs out of entering columns and the primal phase 1
+  // must report the problem infeasible, as the cold and dense solves do.
+  util::Rng rng(99);
+  long dual_pivots = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    LpProblem lp = random_packing_lp(rng);
+    lp.begin_constraint(ConstraintType::GreaterEqual, 0.5);
+    for (int v = 0; v < lp.num_vars(); ++v) lp.add_term(v, 1.0);
+    SimplexState state;
+    ASSERT_EQ(solve_lp(lp, state).status, LpStatus::Optimal);
+    for (int v = 0; v < lp.num_vars(); ++v) lp.set_upper_bound(v, 0.0);
+    const LpSolution warm = solve_lp(lp, state);
+    const std::string label = "trial " + std::to_string(trial);
+    EXPECT_EQ(warm.status, LpStatus::Infeasible) << label;
+    EXPECT_TRUE(warm.warm_started) << label;
+    EXPECT_EQ(solve_lp(lp).status, LpStatus::Infeasible) << label;
+    expect_matches_dense(lp, warm, label);
+    dual_pivots += warm.dual_iterations;
+  }
+  EXPECT_GT(dual_pivots, 0);
+}
+
+TEST(SimplexEquivalence, DualInfeasibleWarmBasisSkipsTheDualPhase) {
+  // Raising the probe's cost far above any dual price makes the saved
+  // basis dual infeasible: the re-solve must make no dual pivot and still
+  // reach the cold and dense optimum. Its twin, the same shrink with the
+  // costs left alone, shows that the basis was primal infeasible.
+  util::Rng rng(31337);
+  int primal_infeasible = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    LpProblem lp = random_packing_lp(rng);
+    SimplexState state;
+    ASSERT_EQ(solve_lp(lp, state).status, LpStatus::Optimal);
+    shrink(lp, rng);
+    SimplexState twin_state = state;
+    if (solve_lp(lp, twin_state).dual_iterations > 0) ++primal_infeasible;
+
+    lp.set_objective(lp.num_vars() - 1, 100.0);
+    const LpSolution warm = solve_lp(lp, state);
+    const std::string label = "trial " + std::to_string(trial);
+    ASSERT_EQ(warm.status, LpStatus::Optimal) << label;
+    EXPECT_TRUE(warm.warm_started) << label;
+    EXPECT_EQ(warm.dual_iterations, 0) << label;
+    EXPECT_NEAR(warm.objective, solve_lp(lp).objective,
+                1e-9 * std::abs(warm.objective))
+        << label;
+    // The probe's cost scales the dense oracle's 1e-7 anti-degeneracy
+    // perturbation of each right-hand side.
+    expect_matches_dense(lp, warm, label, 1e-6 * std::abs(warm.objective));
+  }
+  EXPECT_GT(primal_infeasible, 0);
 }
 
 TEST(SimplexEquivalence, RoutingFormulationsMatchDense) {

@@ -1,5 +1,9 @@
 #include "routing/simplex.h"
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -304,6 +308,67 @@ TEST(Simplex, MismatchedStateFallsBackToColdStart) {
   EXPECT_FALSE(sol.warm_started);
   EXPECT_NEAR(sol.objective, 12.0, 1e-6);
   EXPECT_EQ(state.num_rows, big.num_rows());
+}
+
+/// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x - y = 1 (optimum x = 2.25,
+/// y = 1.25, objective 9.25), for the crash-basis tests.
+LpProblem crash_fixture() {
+  LpProblem lp;
+  const int x = lp.add_variable(3.0);
+  const int y = lp.add_variable(2.0);
+  lp.add_constraint({{{x, 1.0}, {y, 1.0}}, ConstraintType::LessEqual, 4.0});
+  lp.add_constraint({{{x, 1.0}, {y, 3.0}}, ConstraintType::LessEqual, 6.0});
+  lp.add_constraint({{{x, 1.0}, {y, -1.0}}, ConstraintType::Equal, 1.0});
+  return lp;
+}
+
+TEST(Simplex, CrashBasisInstallsAsWarmStart) {
+  const LpProblem lp = crash_fixture();
+  const std::vector<int> rows = {1, -1, 0};  // y in row 0, x in row 2
+  SimplexState state = basis_from_rows(lp, rows);
+  ASSERT_TRUE(state.valid());
+  EXPECT_EQ(state.num_rows, lp.num_rows());
+  const auto sol = solve_lp(lp, state);
+  ASSERT_EQ(sol.status, LpStatus::Optimal);
+  EXPECT_TRUE(sol.warm_started);
+  EXPECT_NEAR(sol.objective, 9.25, 1e-9);
+  EXPECT_NEAR(sol.objective, solve_lp(lp).objective, 1e-9);
+}
+
+TEST(Simplex, SingularCrashBasisFallsBackToSlackStart) {
+  // x and z have identical columns, so a basis holding both is singular.
+  LpProblem lp;
+  const int x = lp.add_variable(1.0, 3.0);
+  const int z = lp.add_variable(1.0, 3.0);
+  lp.add_constraint({{{x, 1.0}, {z, 1.0}}, ConstraintType::LessEqual, 4.0});
+  lp.add_constraint({{{x, 2.0}, {z, 2.0}}, ConstraintType::LessEqual, 9.0});
+  SimplexState state = basis_from_rows(lp, std::vector<int>{x, z});
+  const auto sol = solve_lp(lp, state);
+  ASSERT_EQ(sol.status, LpStatus::Optimal);
+  EXPECT_FALSE(sol.warm_started);
+  EXPECT_NEAR(sol.objective, 4.0, 1e-9);
+}
+
+/// basis_from_rows(lp, rows) must throw std::invalid_argument whose
+/// message names the fault.
+void expect_basis_error(const LpProblem& lp, const std::vector<int>& rows,
+                        const std::string& fault) {
+  try {
+    (void)basis_from_rows(lp, rows);
+    ADD_FAILURE() << "no error for " << fault;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(fault), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Simplex, BasisFromRowsRejectsMalformedRows) {
+  const LpProblem lp = crash_fixture();
+  expect_basis_error(lp, {0, -1}, "one entry per row");
+  expect_basis_error(lp, {0, -1, 1, -1}, "one entry per row");
+  expect_basis_error(lp, {2, -1, -1}, "out of range");
+  expect_basis_error(lp, {-2, -1, -1}, "out of range");
+  expect_basis_error(lp, {1, -1, 1}, "in two rows");
 }
 
 }  // namespace
